@@ -17,22 +17,17 @@ from fractions import Fraction
 import numpy as np
 
 from .certified import CertifiedValue
-from .congruence import surface_data
+from .congruence import _as_int, surface_data
 from .errors import DomainError, NumericsError, ValidityError
-from .hyperbolic import crossing_length_bound, length_from_trace
+from .hyperbolic import _sinh_half, crossing_length_bound, length_from_trace
 
 # Decimal-intended floats get a 1e-12 relative grace at the cutoff, so a
 # ladder with t = 0.2, R = 1 has five rungs even though float(0.2) > 1/5.
-_CUTOFF_SLACK = Fraction(1, 10**12)
-_EXACT_LIMIT = 10**7  # largest ladder summed term by term on the auto path
-_HEAD_COUNT = 10**6  # exact head length in front of the certified tail
-_MIN_PINCH = 1e-300  # certified tail formulas need t*t representable
-
-
-def _as_int(name: str, x) -> int:
-    if isinstance(x, bool) or int(x) != x:
-        raise DomainError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+_CUTOFF_GRACE = Fraction(10**12 + 1, 10**12)
+_MIN_PINCH = 1e-300  # near the subnormal range t loses digits; a rule has likely underflowed
+_HEAD = 128  # rungs summed term by term in front of the Euler-Maclaurin tail
+_HEAD_RUNGS = np.arange(1.0, _HEAD + 1.0)
+_EPS = sys.float_info.epsilon
 
 
 def _validate_pinch(t) -> float:
@@ -76,9 +71,7 @@ class GeodesicClass:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.primitive_length) and self.primitive_length > 0.0):
             raise DomainError(f"primitive_length must be positive, got {self.primitive_length!r}")
-        if isinstance(self.multiplicity, bool) or int(self.multiplicity) != self.multiplicity:
-            raise DomainError(f"multiplicity must be an integer, got {self.multiplicity!r}")
-        if self.multiplicity < 1:
+        if _as_int("multiplicity", self.multiplicity) < 1:
             raise DomainError(f"multiplicity must be >= 1, got {self.multiplicity!r}")
         ratio = self.length / self.primitive_length
         k = round(ratio)
@@ -90,8 +83,16 @@ class GeodesicClass:
 
 
 def _ladder_count(t: float, radius: float) -> int:
-    q = Fraction(radius) * (1 + _CUTOFF_SLACK) / Fraction(t)
-    return math.floor(q)
+    """floor(radius * (1 + 1e-12) / t), in exact integer arithmetic."""
+    rp, rq = radius.as_integer_ratio()
+    tp, tq = t.as_integer_ratio()
+    return rp * tq * _CUTOFF_GRACE.numerator // (rq * tp * _CUTOFF_GRACE.denominator)
+
+
+def _rung_length(t: float, k: int) -> float:
+    """k*t correctly rounded, also for counts too large to convert to float."""
+    p, q = t.as_integer_ratio()
+    return k * p / q
 
 
 class PinchLadder:
@@ -129,7 +130,7 @@ class PinchLadder:
         if not 0 <= k < self.count:
             raise IndexError(f"ladder index {k} out of range for {self.count} rungs")
         return GeodesicClass(
-            length=(k + 1) * self.pinch_length,
+            length=_rung_length(self.pinch_length, k + 1),
             primitive_length=self.pinch_length,
             multiplicity=self.multiplicity,
         )
@@ -172,9 +173,10 @@ def compacted_surface(level, pinch_length) -> CompactedSurface:
 
 
 def other_geodesic_floor(level, pinch_length) -> float:
-    """Minimum of the three lower bounds for any closed geodesic that is not a
-    power of a pinched one: the crossing bound, the distorted simple-geodesic
-    bound, and the distorted figure-eight bound."""
+    """Minimum of the two lower bounds for any closed geodesic that is not a
+    power of a pinched one: the crossing bound and the distorted
+    simple-geodesic bound. (The distorted figure-eight bound is twice the
+    latter, so it is never the minimum.)"""
     n = _as_int("level", level)
     if n < 3:
         raise DomainError(f"level must be >= 3, got {n}")
@@ -185,17 +187,16 @@ def other_geodesic_floor(level, pinch_length) -> float:
         )
     half_sys = 0.5 * length_from_trace(n * n - 2)
     distort = 1.0 + 1.25 * t * t
-    crossing = crossing_length_bound(t)
-    simple_far = half_sys / distort
-    figure_eight = 2.0 * half_sys / distort  # never the minimum, kept for the record
-    return min(crossing, simple_far, figure_eight)
+    return min(crossing_length_bound(t), half_sys / distort)
 
 
 def validity_check(level, pinch_length, radius) -> bool:
-    """True iff every closed geodesic of length <= radius is a power of a
-    pinched geodesic, so the ladder below is the complete short spectrum."""
+    """True iff every closed geodesic of length <= radius is provably a power
+    of a pinched geodesic, so the ladder below is the complete short
+    spectrum. False for t >= 1/2, where the distortion bound does not apply."""
     r = _validate_radius(radius)
-    return other_geodesic_floor(level, pinch_length) > r
+    t = _validate_pinch(pinch_length)
+    return t < 0.5 and other_geodesic_floor(level, t) > r
 
 
 def short_spectrum(level, pinch_length, radius) -> PinchLadder:
@@ -220,92 +221,93 @@ def pinch_ladder(pinch_length, radius, multiplicity) -> PinchLadder:
     return PinchLadder(pinch_length, radius, multiplicity)
 
 
-def _ladder_exact(t: float, k_hi: int) -> tuple[float, float]:
-    """Sum of t/sinh(k t/2) for k = 1..k_hi by chunked vectorized summation."""
-    chunk = 2_000_000
-    parts = []
-    for start in range(1, k_hi + 1, chunk):
-        k = np.arange(start, min(start + chunk - 1, k_hi) + 1, dtype=float)
-        y = 0.5 * t * k
-        small = y < 1e-8
-        terms = np.where(small, 2.0 / k, t / np.sinh(np.where(small, 1.0, y)))
-        parts.append(float(np.sum(terms)))
-    value = math.fsum(parts)
-    # pairwise chunk sums keep the roundoff near machine level; padded estimate
-    return value, 5e-15 * value
+def _rung_weights(t: float, k: np.ndarray) -> np.ndarray:
+    """t/sinh(k t/2) over an array of rungs k, written as 2t e^-y/(1 - e^-2y)
+    with y = k t/2, so that long rungs underflow to 0 and nothing overflows."""
+    y = k * (-0.5 * t)
+    return t * (np.exp(y) / np.expm1(y + y)) * -2.0
 
 
-def _ladder_tail(t: float, k_lo: int, k_hi: int) -> tuple[float, float]:
-    """Certified sum of t/sinh(k t/2) for k = k_lo..k_hi via the midpoint
-    Euler-Maclaurin form; the antiderivative is 2 log tanh(x t/4)."""
-    lo = k_lo - 0.5
-    hi = k_hi + 0.5
-    value = 2.0 * (math.log(math.tanh(0.25 * t * hi)) - math.log(math.tanh(0.25 * t * lo)))
-    # midpoint cells: |sum - integral| <= (|f'(lo)| + f''(lo))/24 for convex f
-    y0 = 0.5 * t * lo
-    if y0 < 1e-6:
-        fp = 2.0 / (lo * lo) * 1.001
-        fpp = 4.0 / (lo * lo * lo) * 1.001
-    else:
-        ch = math.cosh(y0)
-        sh = math.sinh(y0)
-        fp = 0.5 * t * t * ch / (sh * sh)
-        fpp = 0.25 * t * t * t * (ch * ch + 1.0) / (sh * sh * sh)
-    radius = (fp + fpp) / 24.0 + 1e-15 * abs(value)
-    return value, radius
+def _odd_derivatives(t: float, length: float) -> tuple[float, float, float, float]:
+    """f, f', f''' and f^(5) of f(x) = t/sinh(x t/2) at x = length/t.
+
+    With w = (t/2) coth(x t/2) and v = t^2/4 the three derivatives are f
+    times -w, w (5v - 6w^2) and w ((180v - 120w^2) w^2 - 61v^2).
+    """
+    f = t / _sinh_half(length)
+    if f == 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    w = 0.5 * t / math.tanh(0.5 * length)
+    v = 0.25 * t * t
+    w2 = w * w
+    return (f, -f * w, f * w * (5.0 * v - 6.0 * w2),
+            f * w * ((180.0 * v - 120.0 * w2) * w2 - 61.0 * v * v))
 
 
-def _ladder_plancherel(t: float, count: int, multiplicity: int, method: str) -> CertifiedValue:
-    if count == 0:
-        return CertifiedValue(0.0, 0.0)
-    if method not in ("auto", "exact", "bracket"):
-        raise DomainError(f"method must be auto, exact, or bracket, got {method!r}")
-    use_exact = method == "exact" or (method == "auto" and count <= _EXACT_LIMIT)
-    if use_exact:
-        if count > 10**8:
-            raise NumericsError(
-                f"exact summation of {count} terms refused; use the bracket path"
-            )
-        value, radius = _ladder_exact(t, count)
-    else:
-        if count <= _HEAD_COUNT:
-            value, radius = _ladder_exact(t, count)
-        else:
-            head, head_radius = _ladder_exact(t, _HEAD_COUNT)
-            tail, tail_radius = _ladder_tail(t, _HEAD_COUNT + 1, count)
-            value = head + tail
-            radius = head_radius + tail_radius + 2e-16 * abs(value)
-    return CertifiedValue(multiplicity * value, multiplicity * radius + 2e-16 * multiplicity * value)
+def _log_tanh(z: float) -> float:
+    """log tanh(z) to a few ulp of its value, also where tanh(z) rounds to 1."""
+    if z < 1.0:
+        return math.log(math.tanh(z))
+    e = math.exp(-2.0 * z)
+    return math.log1p(-2.0 * e / (1.0 + e))
 
 
-def plancherel_sum(spectrum, radius, *, method: str = "auto") -> CertifiedValue:
+def _ladder_sum(t: float, count: int) -> tuple[float, float]:
+    """Sum of t/sinh(k t/2) for k = 1..count, and its error radius.
+
+    The first _HEAD rungs are summed term by term. The rest, k = a..count
+    with a = _HEAD + 1, follow Euler-Maclaurin to order 6 (DLMF 2.10.1) with
+    the antiderivative 2 log tanh(x t/4). The summand is completely
+    monotone, so the remainder obeys |R_3| <= 2 |B_6|/6! |f^(5)(a)|.
+    """
+    k = _HEAD_RUNGS[: min(count, _HEAD)]
+    terms = _rung_weights(t, k)
+    head = math.fsum(terms.tolist())
+    # each computed term is charged a few ulp, plus the rounding of its
+    # argument y = k t/2 times the condition number (below 1 + y) of e^-y
+    roundoff = _EPS * (8.0 * head + 0.5 * t * float(np.dot(terms, k)))
+    if count <= _HEAD:
+        return head, roundoff
+    lo, hi = (_HEAD + 1) * t, _rung_length(t, count)  # first and last tail lengths
+    fa, da1, da3, da5 = _odd_derivatives(t, lo)
+    fb, db1, db3, _ = _odd_derivatives(t, hi)
+    log_a, log_b = _log_tanh(0.25 * lo), _log_tanh(0.25 * hi)
+    value = (head + 2.0 * (log_b - log_a) + 0.5 * (fa + fb)
+             + (db1 - da1) / 12.0 - (db3 - da3) / 720.0)
+    # likewise for the endpoint terms, whose condition numbers in the length
+    # x t stay below 1 + x t
+    size_a = abs(log_a) + 0.5 * fa + abs(da1) / 12.0 + abs(da3) / 720.0
+    size_b = abs(log_b) + 0.5 * fb + abs(db1) / 12.0 + abs(db3) / 720.0
+    roundoff += _EPS * ((8.0 + lo) * size_a + (8.0 + hi) * size_b + value)
+    return value, abs(da5) / 15120.0 + roundoff
+
+
+def plancherel_sum(spectrum, radius) -> CertifiedValue:
     """Spectral-criterion sum over the given classes: multiplicity *
-    primitive_length / sinh(length/2), with a certified error radius.
+    primitive_length / sinh(length/2), with an error radius.
 
-    Ladders above 10^7 rungs are summed as an exact head plus an
-    integral-certified tail; the radius stays below 1e-9 relative. Explicit
+    Every ladder takes one route, at the same cost whatever its length: the
+    first 128 rungs term by term, the rest by Euler-Maclaurin to order 6
+    with a closed-form integral. The radius has two parts. The
+    Euler-Maclaurin remainder is a proven bound (DLMF 2.10.2). The roundoff
+    part is an estimate: it charges each computed term a few ulp, which
+    assumes libm exp, expm1, sinh, tanh and log are that accurate. Explicit
     class lists are summed term by term.
     """
     r = _validate_radius(radius)
     grace = r * (1.0 + 1e-12)
     if isinstance(spectrum, PinchLadder):
-        if spectrum.count > 0 and spectrum.count * spectrum.pinch_length > grace + spectrum.pinch_length * 1e-9:
-            raise DomainError(
-                f"ladder reaches {spectrum.count * spectrum.pinch_length!r}, beyond radius {r!r}"
-            )
-        return _ladder_plancherel(spectrum.pinch_length, spectrum.count, spectrum.multiplicity, method)
+        t, count, mult = spectrum.pinch_length, spectrum.count, spectrum.multiplicity
+        reach = _rung_length(t, count)
+        if count > 0 and reach > grace + t * 1e-9:
+            raise DomainError(f"ladder reaches {reach!r}, beyond radius {r!r}")
+        value, err = _ladder_sum(t, count)
+        return CertifiedValue(mult * value, mult * err + _EPS * mult * value)
     terms = []
     for cls in spectrum:
         if cls.length > grace:
             raise DomainError(f"class length {cls.length!r} exceeds radius {r!r}")
-        y = 0.5 * cls.length
-        if y > 350.0:
-            s = math.exp(y - math.log(2.0))  # sinh to machine precision, overflow-safe
-        elif y < 1e-8:
-            s = y * (1.0 + y * y / 6.0)
-        else:
-            s = math.sinh(y)
-        terms.append(cls.multiplicity * cls.primitive_length / s)
+        terms.append(cls.multiplicity * cls.primitive_length / _sinh_half(cls.length))
     value = math.fsum(terms)
     return CertifiedValue(value, 3e-16 * math.fsum(abs(x) for x in terms))
 
@@ -340,20 +342,17 @@ def bs_ratio(level, pinch_length, radius) -> float:
 
 
 def harmonic_sum(n) -> float:
-    """H_n, exactly summed up to 10^8 terms, then by the asymptotic expansion
-    ln n + gamma + 1/(2n) - 1/(12 n^2), whose error is below 1/(120 n^4)."""
+    """H_n, summed term by term up to 128 terms, then by the asymptotic
+    expansion ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4), whose error
+    is below 1/(252 n^6) < 1e-15 there. n may exceed the float range."""
     n = _as_int("n", n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if n <= 10**8:
-        chunk = 5_000_000
-        parts = []
-        for start in range(1, n + 1, chunk):
-            k = np.arange(start, min(start + chunk - 1, n) + 1, dtype=float)
-            parts.append(float(np.sum(1.0 / k)))
-        return math.fsum(parts)
-    inv = 1.0 / n
-    return math.log(n) + float(np.euler_gamma) + 0.5 * inv - inv * inv / 12.0
+    if n <= _HEAD:
+        return math.fsum((1.0 / _HEAD_RUNGS[:n]).tolist())
+    inv = 1 / n  # integer true division: n is never converted to float
+    inv2 = inv * inv
+    return math.log(n) + float(np.euler_gamma) + 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
 
 
 def sandwich_bounds(level, pinch_length, radius) -> tuple[float, float]:
@@ -479,7 +478,8 @@ def _trend(values: list[float]) -> str:
     tail = values[len(values) // 2 :]
     if all(b > a for a, b in zip(tail, tail[1:])):
         return "divergent"
-    if values[-1] < 0.5 * values[len(values) // 3]:
+    # <=: the bs ratio 3/(2 pi N) over N = 3..12 lands exactly on one half
+    if values[-1] <= 0.5 * values[len(values) // 3]:
         return "vanishing"
     return "bounded away from zero"
 
@@ -499,14 +499,10 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
     for j in range(1, min(j_cap, len(schedule.levels)) + 1):
         n = schedule.levels[j - 1]
         t = schedule.pinch_lengths[j - 1]
-        sd = surface_data(n)
-        pairs = sd.cusps // 2
         surface = compacted_surface(n, t)
-        valid = t < 0.5 and other_geodesic_floor(n, t) > r
-        if valid:
+        pairs = surface.pinched_count
+        if validity_check(n, t, r):
             s = plancherel_sum(PinchLadder(t, r, pairs), r)
-            norm = float(s) / surface.volume
-            ratio = 0.0 if t > r else 3.0 / (2.0 * math.pi * n)
             if r >= 1.0 and t < 1.0:
                 lo, up = sandwich_bounds(n, t, r)
                 lower, upper = lo / surface.volume, up / surface.volume
@@ -515,9 +511,9 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
             rows.append(
                 ScheduleRow(
                     j=j, level=n, pinch=t, b_pairs=pairs, genus=surface.genus,
-                    volume=surface.volume, bs_ratio=ratio, pl_sum=float(s),
-                    pl_sum_radius=s.radius, pl_norm=norm, lower=lower, upper=upper,
-                    valid=True,
+                    volume=surface.volume, bs_ratio=bs_ratio(n, t, r), pl_sum=float(s),
+                    pl_sum_radius=s.radius, pl_norm=float(s) / surface.volume,
+                    lower=lower, upper=upper, valid=True,
                 )
             )
         else:
@@ -529,12 +525,11 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
                     valid=False,
                 )
             )
-    norms = [row.pl_norm for row in rows if row.valid]
-    bs_verdict = "vanishing" if len(rows) >= 2 else "inconclusive"
+    valid_rows = [row for row in rows if row.valid]
     return ScheduleReport(
         schedule_name=schedule.name,
         radius=r,
         rows=tuple(rows),
-        plancherel_verdict=_trend(norms),
-        bs_verdict=bs_verdict,
+        plancherel_verdict=_trend([row.pl_norm for row in valid_rows]),
+        bs_verdict=_trend([row.bs_ratio for row in valid_rows]),
     )

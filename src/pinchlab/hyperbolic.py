@@ -27,8 +27,14 @@ def _require_positive(name: str, x: float) -> float:
 
 def _sinh_half(length: float) -> float:
     """sinh(length/2), with the series used below 1e-8 so the pinching regime
-    stays free of spurious rounding."""
+    stays free of spurious rounding. Overflow-safe: e^y/2 above y = 350, and
+    inf once that leaves the float range, where math.sinh would raise."""
     y = 0.5 * length
+    if y > 350.0:
+        try:
+            return math.exp(y - LOG2)
+        except OverflowError:
+            return math.inf
     if y < 1e-8:
         return y * (1.0 + y * y / 6.0)
     return math.sinh(y)

@@ -12,15 +12,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .certified import CertifiedValue
-from .convergence import PinchLadder, compacted_surface, other_geodesic_floor, short_spectrum
+from .congruence import _as_int
+from .convergence import (
+    PinchLadder,
+    _ladder_count,
+    _rung_weights,
+    compacted_surface,
+    short_spectrum,
+    validity_check,
+)
 from .errors import DomainError, NumericsError
+from .hyperbolic import _sinh_half
 from .quadrature import adaptive_integral, gauss_legendre
 
 _TAIL_TARGET = 1e-10  # certified truncation bound for the spectral integral
@@ -302,22 +310,11 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     return CertifiedValue(value, scale * quad_err + bound + 1e-15 * abs(value))
 
 
-def _sinh_guarded(y: float) -> float:
-    if y > 350.0:
-        return math.exp(y - math.log(2.0))
-    if y < 1e-8:
-        return y * (1.0 + y * y / 6.0)
-    return math.sinh(y)
-
-
 def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> CertifiedValue:
     t = ladder.pinch_length
     mult = ladder.multiplicity
     L = profile.g_support
-    n_eff = min(
-        ladder.count,
-        math.floor(Fraction(L) * (1 + Fraction(1, 10**12)) / Fraction(t)),
-    )
+    n_eff = min(ladder.count, _ladder_count(t, L))
     if n_eff == 0:
         return CertifiedValue(0.0, 0.0)
 
@@ -326,10 +323,7 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
         chunk = 2_000_000
         for start in range(k_lo, k_hi + 1, chunk):
             k = np.arange(start, min(start + chunk - 1, k_hi) + 1, dtype=float)
-            y = 0.5 * t * k
-            small = y < 1e-8
-            ratio = np.where(small, 2.0 / k, t / np.sinh(np.where(small, 1.0, y)))
-            parts.append(float(np.sum(ratio * profile.g(k * t))))
+            parts.append(float(np.sum(_rung_weights(t, k) * profile.g(k * t))))
         return math.fsum(parts)
 
     if n_eff <= 4_000_000:
@@ -356,7 +350,7 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
     # quadrature budget can stay loose
     i_long, e_long = adaptive_integral(kernel, u_lo, min((n_eff + 1) * t, L), 1e-9)
     i_short, e_short = adaptive_integral(kernel, u_lo, min(n_eff * t, L), 1e-9)
-    w_a = t * profile.g(u_lo) / _sinh_guarded(0.5 * u_lo)
+    w_a = t * profile.g(u_lo) / _sinh_half(u_lo)
     tail_lo = i_long
     tail_hi = i_short + w_a
     tail_mid = 0.5 * (tail_lo + tail_hi)
@@ -388,7 +382,7 @@ def geometric_side(spectrum, g) -> CertifiedValue:
             )
         return _ladder_geometric(spectrum, profile)
     terms = [
-        cls.multiplicity * cls.primitive_length / (2.0 * _sinh_guarded(0.5 * cls.length))
+        cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
         * kernel(cls.length)
         for cls in spectrum
     ]
@@ -415,9 +409,7 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
     Sub-exponential pinch rules drive the series to zero; exponential ones
     hold it away from zero.
     """
-    if isinstance(j_max, bool) or int(j_max) != j_max:
-        raise DomainError(f"j_max must be an integer, got {j_max!r}")
-    j_max = int(j_max)
+    j_max = _as_int("j_max", j_max)
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     profile = transform_profile(phi)
@@ -426,8 +418,7 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
     for j in range(1, min(j_max, len(schedule.levels)) + 1):
         level = schedule.levels[j - 1]
         t = schedule.pinch_lengths[j - 1]
-        valid = t < 0.5 and other_geodesic_floor(level, t) > radius
-        if valid:
+        if validity_check(level, t, radius):
             ladder = short_spectrum(level, t, radius)
             side = geometric_side(ladder, profile)
             volume = compacted_surface(level, t).volume
