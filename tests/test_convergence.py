@@ -219,6 +219,24 @@ def test_plancherel_sum_accepts_plain_classes():
     assert float(val) == pytest.approx(float(ref), rel=1e-14)
 
 
+def test_bracket_matches_exact_summation():
+    # 10^7 rungs: the head-plus-tail route against direct term-by-term
+    # summation in float64, within the sum of both radii
+    t, r = 1e-7, 1.0
+    ladder = pinch_ladder(t, r, 2)
+    assert ladder.count == 10**7
+    bracket = plancherel_sum(ladder, r)
+    chunks = []
+    for start in range(1, ladder.count + 1, 10**6):
+        k = np.arange(start, min(start + 10**6, ladder.count + 1), dtype=np.float64)
+        chunks.append(math.fsum(t / np.sinh(k * t / 2)))
+    exact = 2 * math.fsum(chunks)
+    # each term carries a few ulps from sinh and the division; fsum adds none
+    exact_radius = 8 * np.finfo(float).eps * exact
+    assert abs(exact - float(bracket)) <= 1e-9 * exact
+    assert abs(exact - float(bracket)) <= exact_radius + bracket.radius
+
+
 def test_bracket_radius_tiny_in_deep_pinch():
     val = plancherel_sum(pinch_ladder(math.exp(-20.0), 1.0, 6), 1.0)
     assert val.radius <= 1e-9 * float(val)
