@@ -135,7 +135,7 @@ def _cmd_survey(params: dict):
             "systole": sd.systole,
             "area": sd.area,
             "compacted_genus": sd.genus + pairs,
-            "compacted_volume": math.pi * (sd.index_d / 6.0),
+            "compacted_volume": sd.area,
         })
     return columns, rows, {}, [], 0
 

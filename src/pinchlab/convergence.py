@@ -28,6 +28,8 @@ _MIN_PINCH = 1e-300  # near the subnormal range t loses digits; a rule has likel
 _HEAD = 128  # rungs summed term by term in front of the Euler-Maclaurin tail
 _HEAD_RUNGS = np.arange(1.0, _HEAD + 1.0)
 _EPS = sys.float_info.epsilon
+_NORMAL_Y = 708.0  # e^-y is a normal float up to here, subnormal or 0 past it
+_TINY = math.ulp(0.0)  # the smallest positive float
 
 
 def _validate_pinch(t) -> float:
@@ -266,9 +268,18 @@ def _ladder_sum(t: float, count: int) -> tuple[float, float]:
     # each computed term is charged a few ulp, plus the rounding of its
     # argument y = k t/2 times the condition number (below 1 + y) of e^-y
     roundoff = _EPS * (8.0 * head + 0.5 * t * float(np.dot(terms, k)))
+    hi = _rung_length(t, count)  # the last length
+    if hi > 2.0 * _NORMAL_Y:
+        # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
+        # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
+        # their true and computed sums both lie below 2 (2 + t) e^-y, since
+        # t/(1 - e^-t/2) <= 2 + t; charge twice that, in logs so that it stays
+        # positive where e^-y alone underflows
+        y = max(_NORMAL_Y, 0.5 * t)
+        roundoff += math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
     if count <= _HEAD:
         return head, roundoff
-    lo, hi = (_HEAD + 1) * t, _rung_length(t, count)  # first and last tail lengths
+    lo = (_HEAD + 1) * t  # the first tail length
     fa, da1, da3, da5 = _odd_derivatives(t, lo)
     fb, db1, db3, _ = _odd_derivatives(t, hi)
     log_a, log_b = _log_tanh(0.25 * lo), _log_tanh(0.25 * hi)

@@ -5,14 +5,14 @@ geometric-side kernel g (an integral of phi over a horocyclic variable) and
 the spectral-side multiplier h (the Fourier cosine dual of g). The identity
 anchoring everything here is that the spectral integral of h against the
 plane's spectral density recovers phi(0); the geometric side pairs g with a
-length spectrum. Both evaluations carry certified error accounting.
+length spectrum. Both evaluations return a value with an error radius.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -20,6 +20,7 @@ from scipy.interpolate import CubicSpline
 from .certified import CertifiedValue
 from .congruence import _as_int
 from .convergence import (
+    _EPS,
     PinchLadder,
     _ladder_count,
     _rung_weights,
@@ -31,15 +32,9 @@ from .errors import DomainError, NumericsError
 from .hyperbolic import _sinh_half
 from .quadrature import adaptive_integral, gauss_legendre
 
-_TAIL_TARGET = 1e-10  # certified truncation bound for the spectral integral
-_R_CAP = 65536.0  # give up octave doubling past this frequency
-
-
-def _tanh_pi(r: float) -> float:
-    # tanh(pi r) is 1 to machine precision well before r = 20
-    if r > 20.0:
-        return 1.0
-    return math.tanh(math.pi * r)
+_KNOTS = 2049  # kernel spline knots; odd, so every other knot keeps both ends
+_R_SPLIT = 14.0  # 2r/(e^(2 pi r) + 1) is below 1e-36 past here
+_CLAMP = ((1, 0.0), "not-a-knot")  # g is even, so g'(0) = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,60 +111,38 @@ def _acosh1p(x: float) -> float:
     return math.log1p(x + math.sqrt(x * (x + 2.0)))
 
 
-def _derivative_sup(sample: Callable[[np.ndarray], np.ndarray], L: float) -> dict[int, float]:
-    """Finite-difference estimates of sup |G^(k)| for the even extension of g,
-    padded by a factor 4 and maximized over stencil widths for robustness."""
-    stencils = {
-        4: np.array([1.0, -4.0, 6.0, -4.0, 1.0]),
-        6: np.array([1.0, -6.0, 15.0, -20.0, 15.0, -6.0, 1.0]),
-        8: np.array([1.0, -8.0, 28.0, -56.0, 70.0, -56.0, 28.0, -8.0, 1.0]),
-    }
-    deltas = sorted({0.02, 0.04, 0.08, L / 24.0, L / 12.0, L / 6.0})
-    constants = {}
-    for order, coef in stencils.items():
-        half = len(coef) // 2
-        best = 0.0
-        for delta in deltas:
-            u0 = np.linspace(0.0, L + (half + 1) * delta, 400)
-            acc = np.zeros_like(u0)
-            for j, cj in enumerate(coef):
-                acc += cj * sample(u0 + (j - half) * delta)
-            best = max(best, float(np.max(np.abs(acc))) / delta**order)
-        constants[order] = 4.0 * 2.0 * L * best
-    return constants
-
-
 @dataclass(frozen=True, eq=False)
 class TransformProfile:
     """The packaged (g, h) pair for one test function.
 
-    ``g`` vanishes at and beyond ``g_support``; ``h`` is even and accurate to
-    about 1e-12 absolute, with ``h_batch`` the same map over float arrays.
-    ``tail_constants`` maps a derivative order k to a constant C with
-    |h(r)| <= C / r^k, the data behind certified truncation of the spectral
-    integral; ``h_l1`` is the uniform bound 2 * integral |g|.
+    ``spline`` is the clamped cubic spline of g on [0, g_support]; ``g`` is
+    its even extension, zero at and beyond ``g_support``. ``h`` is the cosine
+    transform of that g by a fixed rule on the kernel nodes, accurate to
+    about 1e-12 absolute while r * g_support stays below about 1300 (the
+    rule aliases past that), and ``h_batch`` is the same map over float
+    arrays.
     """
 
     g: Callable
     h: Callable[[float], float]
     g_support: float
-    tail_constants: Mapping[int, float] = field(default_factory=dict, repr=False)
-    h_l1: float = field(default=math.inf, repr=False)
-    g_nonincreasing: bool = field(default=False, repr=False)
-    h_batch: Callable | None = field(default=None, repr=False)
+    spline: CubicSpline
+    g_nonincreasing: bool
+    h_batch: Callable[[np.ndarray], np.ndarray]
 
 
-def transform_profile(phi: TestFunction, nodes: int = 2049) -> TransformProfile:
-    """Evaluate g once on a dense grid and package fast spline-backed g and h.
+def transform_profile(phi: TestFunction) -> TransformProfile:
+    """Evaluate g once on 2049 knots and package spline-backed g and h.
 
-    h(r) for r >= 1 comes from exact cosine moments of the cubic pieces, so
-    no oscillatory quadrature is ever needed; below r = 1 a fixed high-order
-    rule on the support suffices. Derivative sups of the even extension of g
-    are estimated for the spectral-tail certificates.
+    The spline is clamped to g'(0) = 0, since g is even. h(r) is the cosine
+    integral of the spline by a 384-point Gauss-Legendre rule on the support,
+    one route for every r. The knot count is odd so that every other knot,
+    which plancherel_integral uses to estimate the spline error, keeps both
+    ends.
     """
     S = phi.support_bound
     L = _acosh1p(0.5 * S)
-    beta = np.linspace(0.0, L, nodes)
+    beta = np.linspace(0.0, L, _KNOTS)
     v = 2.0 * np.cosh(beta) - 2.0
     s_max = np.sqrt(np.maximum(S - v, 0.0))
     xi, wq = gauss_legendre(128)
@@ -178,24 +151,11 @@ def transform_profile(phi: TestFunction, nodes: int = 2049) -> TransformProfile:
     u_grid = v[:, None] + (s_max[:, None] ** 2) * (xi[None, :] ** 2)
     gvals = 2.0 * s_max * (np.asarray(phi.evaluator(u_grid)) @ wq)
     gvals[-1] = 0.0
-
-    spline = CubicSpline(beta, gvals)
-    coeff = spline.c
-    a_kn = beta[:-1]
-    b_kn = beta[1:]
-    dx = b_kn - a_kn
-    c3, c2, c1, c0 = coeff[0], coeff[1], coeff[2], coeff[3]
-    p_a, dp_a, d2p_a = c0, c1, 2.0 * c2
-    d3p = 6.0 * c3  # constant per piece
-    p_b = ((c3 * dx + c2) * dx + c1) * dx + c0
-    dp_b = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
-    d2p_b = 6.0 * c3 * dx + 2.0 * c2
+    spline = CubicSpline(beta, gvals, bc_type=_CLAMP)
 
     xg, wg = gauss_legendre(384)
     xg = 0.5 * L * (xg + 1.0)
-    wg = 0.5 * L * wg
-    g_small = spline(xg)
-    wg_g = wg * g_small
+    wg_g = 0.5 * L * wg * spline(xg)
 
     def g_fun(r):
         arr = np.abs(np.asarray(r, dtype=float))
@@ -206,39 +166,22 @@ def transform_profile(phi: TestFunction, nodes: int = 2049) -> TransformProfile:
 
     def h_batch(r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
-        out = np.empty(r.shape)
-        small = r < 1.0
-        if small.any():
-            out[small] = 2.0 * (np.cos(np.outer(r[small], xg)) @ wg_g)
-        idx = np.flatnonzero(~small)
-        # moments of the cubic pieces, blocked to bound the temporaries
-        for blk in range(0, idx.size, 256):
-            sel = idx[blk : blk + 256]
-            rc = r[sel][:, None]
-            sin_a, cos_a = np.sin(rc * a_kn), np.cos(rc * a_kn)
-            sin_b, cos_b = np.sin(rc * b_kn), np.cos(rc * b_kn)
-            r2 = rc * rc
-            r3 = r2 * rc
-            r4 = r3 * rc
-            upper = p_b * sin_b / rc + dp_b * cos_b / r2 - d2p_b * sin_b / r3 - d3p * cos_b / r4
-            lower = p_a * sin_a / rc + dp_a * cos_a / r2 - d2p_a * sin_a / r3 - d3p * cos_a / r4
-            out[sel] = 2.0 * np.sum(upper - lower, axis=1)
-        return out
+        flat = r.ravel()
+        out = np.empty(flat.size)
+        # blocked to bound the temporaries
+        for blk in range(0, flat.size, 256):
+            out[blk : blk + 256] = 2.0 * (np.cos(np.outer(flat[blk : blk + 256], xg)) @ wg_g)
+        return out.reshape(r.shape)
 
     def h_fun(r: float) -> float:
         return float(h_batch(np.asarray([abs(float(r))]))[0])
-
-    def even_sample(u: np.ndarray) -> np.ndarray:
-        u = np.abs(u)
-        return np.where(u < L, spline(np.minimum(u, L)), 0.0)
 
     slack = 1e-12 * float(np.max(np.abs(gvals)) or 1.0)
     return TransformProfile(
         g=g_fun,
         h=h_fun,
         g_support=L,
-        tail_constants=_derivative_sup(even_sample, L),
-        h_l1=2.0 * float(np.dot(wg, np.abs(g_small))),
+        spline=spline,
         g_nonincreasing=bool(np.all(np.diff(gvals) <= slack) and gvals[0] >= 0.0),
         h_batch=h_batch,
     )
@@ -261,53 +204,66 @@ def h_transform(profile: TransformProfile, r) -> float:
     return value
 
 
-def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
-    """Spectral integral (1/2 pi) * int_0^inf h(r) tanh(pi r) r dr, summed in
-    doubling octaves until the certified truncation bound drops below 1e-10.
+def _log_moment(spline: CubicSpline) -> tuple[float, float]:
+    """-2 * integral of g'(u)/u du over the spline's span, in closed form,
+    and a magnitude that bounds the roundoff of the terms behind it.
 
-    For a profile built from a test function phi this recovers phi(0).
+    On a piece [a, b] the derivative is alpha + beta u + gamma u^2, whose
+    integral against 1/u is alpha log(b/a) + beta (b - a) + gamma (b^2 - a^2)/2.
     """
-    if not profile.tail_constants:
-        raise NumericsError(
-            "profile carries no derivative-sup data; the spectral tail cannot be certified"
-        )
-    h = profile.h
-    h_batch = profile.h_batch or (lambda arr: np.asarray([h(x) for x in arr]))
+    a, b = spline.x[:-1], spline.x[1:]
+    c3, c2, c1 = spline.c[0], spline.c[1], spline.c[2]
+    dx = b - a
+    # the first piece starts at a = 0, where the clamp g'(0) = 0 makes alpha 0
+    log_ratio = np.concatenate([[0.0], np.log1p(dx[1:] / a[1:])])
+    alpha = (3.0 * c3 * a - 2.0 * c2) * a + c1
+    terms = alpha * log_ratio + (2.0 * c2 - 6.0 * c3 * a + 1.5 * c3 * (a + b)) * dx
+    m3, m2, m1 = np.abs(c3), np.abs(c2), np.abs(c1)
+    size = (((3.0 * m3 * a + 2.0 * m2) * a + m1) * log_ratio
+            + (2.0 * m2 + m3 * (7.5 * a + 1.5 * b)) * dx)
+    return -2.0 * math.fsum(terms.tolist()), 2.0 * float(np.sum(size))
 
-    def integrand(r):
-        arr = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(arr)
-        factor = np.where(flat > 20.0, 1.0, np.tanh(math.pi * np.minimum(flat, 20.0)))
-        vals = h_batch(flat) * flat * factor
-        if arr.ndim == 0:
-            return float(vals[0])
-        return vals
 
-    def tail_bound(r_edge: float) -> float:
-        best = math.inf
-        for k, ck in profile.tail_constants.items():
-            best = min(best, ck / (2.0 * math.pi * (k - 2) * r_edge ** (k - 2)))
-        return best
+def _fermi_moment(h_batch: Callable, n: int) -> tuple[float, float]:
+    """integral over [0, _R_SPLIT] of 2 r h(r)/(e^(2 pi r) + 1) by n-point
+    Gauss-Legendre, and the sum of the magnitudes of its terms."""
+    x, w = gauss_legendre(n)
+    r = 0.5 * _R_SPLIT * (x + 1.0)
+    terms = _R_SPLIT * w * r * h_batch(r) / (np.exp(2.0 * math.pi * r) + 1.0)
+    return math.fsum(terms.tolist()), float(np.sum(np.abs(terms)))
 
-    total = 0.0
-    quad_err = 0.0
-    lo, hi = 0.0, 2.0
-    while True:
-        value, err = adaptive_integral(integrand, lo, hi, 5e-12)
-        total += value
-        quad_err += err
-        bound = tail_bound(hi)
-        if bound <= _TAIL_TARGET:
-            break
-        if hi >= _R_CAP:
-            raise NumericsError(
-                f"spectral tail bound is only {bound:.3e} at r = {hi}; "
-                "cannot certify the truncation at 1e-10"
-            )
-        lo, hi = hi, 2.0 * hi
+
+def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
+    """Spectral integral (1/2 pi) * int_0^inf h(r) tanh(pi r) r dr.
+
+    For a profile built from a test function phi this recovers phi(0). With
+    r tanh(pi r) = r - 2r/(e^(2 pi r) + 1) the integral is (A - B)/2 pi:
+    A = int_0^inf r h(r) dr = -2 int_0^L g'(u)/u du in closed form over the
+    spline pieces, and B = int_0^inf 2r h(r)/(e^(2 pi r) + 1) dr by a
+    128-point rule on [0, 14] through ``profile.h_batch``.
+
+    The radius has four parts. Two are estimates: the change in A when the
+    spline is rebuilt on every other knot (A is far more sensitive to the
+    spline error than B is), and the change in B from a 64-point rule. The
+    tail of B past r = 14 is a bound, from |h| <= 2 int |g|. The roundoff
+    part is an estimate of a few ulp per summed term.
+    """
+    spline = profile.spline
+    a_fine, a_size = _log_moment(spline)
+    knots = spline.x[::2]
+    a_coarse, _ = _log_moment(CubicSpline(knots, spline(knots), bc_type=_CLAMP))
+    b_fine, b_size = _fermi_moment(profile.h_batch, 128)
+    b_coarse, _ = _fermi_moment(profile.h_batch, 64)
+    # sup |h| <= 2 int |g| <= 2 sum over the pieces of dx sup |cubic|
+    dx = np.diff(spline.x)
+    h_sup = 2.0 * float(np.sum(dx * np.polyval(np.abs(spline.c), dx)))
+    # int_R^inf 2r e^(-2 pi r) dr = e^(-2 pi R) (R/pi + 1/(2 pi^2))
+    tail = h_sup * math.exp(-2.0 * math.pi * _R_SPLIT) * (_R_SPLIT / math.pi + 0.5 / math.pi**2)
+    roundoff = 8.0 * _EPS * (a_size + b_size + h_sup)
     scale = 1.0 / (2.0 * math.pi)
-    value = scale * total
-    return CertifiedValue(value, scale * quad_err + bound + 1e-15 * abs(value))
+    value = scale * (a_fine - b_fine)
+    radius = scale * (abs(a_fine - a_coarse) + abs(b_fine - b_coarse) + tail + roundoff)
+    return CertifiedValue(value, radius)
 
 
 def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> CertifiedValue:

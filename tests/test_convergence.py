@@ -190,6 +190,12 @@ def test_plancherel_sum_count_beyond_float_range():
     val = plancherel_sum(ladder, 1e10)
     assert math.isfinite(float(val))
     assert abs(float(val) - exact_ladder_sum(1e-300, ladder.count, 1)) <= val.radius
+    # every rung underflows: the computed sum is 0, so only a positive radius
+    # can enclose the true sum; past the first rung the terms shrink by e^-5e299
+    val = plancherel_sum(pinch_ladder(1e300, 1.7e308, 3), 1.7e308)
+    t = mp.mpf(1e300)
+    first = 3 * t / mp.sinh(t / 2)
+    assert first > 0 and abs(mp.mpf(float(val)) - first) <= val.radius
 
 
 def test_plancherel_sum_long_ladder_emits_no_warning():

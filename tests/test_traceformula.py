@@ -8,10 +8,8 @@ from scipy.integrate import quad
 from pinchlab import (
     DomainError,
     GeodesicClass,
-    NumericsError,
     Schedule,
     TestFunction,
-    TransformProfile,
     bump,
     g_transform,
     geometric_side,
@@ -115,9 +113,6 @@ def test_profile_matches_direct_g(profile1):
 
 def test_profile_metadata(profile1):
     assert profile1.g_nonincreasing
-    assert math.isfinite(profile1.h_l1) and profile1.h_l1 > 0.0
-    assert profile1.tail_constants
-    assert all(k >= 4 and c > 0.0 for k, c in profile1.tail_constants.items())
 
 
 # ---------------------------------------------------------------- h
@@ -148,8 +143,10 @@ def test_h_batch_matches_scalar(profile1):
 
 
 def test_h_bounded_by_l1(profile1):
+    mass, _ = quad(lambda u: abs(profile1.g(u)), 0.0, profile1.g_support,
+                   epsabs=1e-13, epsrel=1e-13, limit=200)
     for r in np.geomspace(0.1, 1000.0, 25):
-        assert abs(profile1.h(r)) <= profile1.h_l1 * (1.0 + 1e-12)
+        assert abs(profile1.h(r)) <= 2.0 * mass * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------- spectral side
@@ -179,10 +176,10 @@ def test_spectral_integral_against_compact_oracle(profile1, spectral1):
     assert abs(float(spectral1) - oracle) <= 5e-9 + quad_err
 
 
-def test_spectral_integral_needs_tail_data(profile1):
-    bare = TransformProfile(g=profile1.g, h=profile1.h, g_support=profile1.g_support)
-    with pytest.raises(NumericsError):
-        plancherel_integral(bare)
+@pytest.mark.parametrize("S", [0.25, 0.5, 0.75, 1.0, 2.0, 4.0, 8.0])
+def test_spectral_integral_encloses_phi0(S):
+    value = plancherel_integral(transform_profile(bump(S)))
+    assert abs(float(value) - math.exp(-1.0)) <= value.radius <= 1e-9
 
 
 # ---------------------------------------------------------------- geometric side
