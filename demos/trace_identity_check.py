@@ -11,7 +11,6 @@ import math
 from pinchlab import (
     Schedule,
     bump,
-    g_transform,
     geometric_side,
     plancherel_integral,
     short_spectrum,
@@ -26,7 +25,7 @@ L = profile.g_support
 
 print(f"bump support S = {S}, kernel support L = arccosh(1 + S/2) = {L:.6f}")
 print(f"g(0) = {profile.g(0.0):.10f}, g vanishes beyond L: g(L + 0.01) = "
-      f"{g_transform(phi, L + 0.01)}")
+      f"{profile.g(L + 0.01)}")
 print(f"h(0) = twice the kernel mass = {profile.h(0.0):.10f}")
 print(f"h decays: h(5) = {profile.h(5.0):.3e}, h(50) = {profile.h(50.0):.3e}")
 

@@ -138,9 +138,9 @@ class PinchLadder:
         )
 
     def __iter__(self):
-        for k in range(self.count):
+        for k in range(1, self.count + 1):
             yield GeodesicClass(
-                length=(k + 1) * self.pinch_length,
+                length=_rung_length(self.pinch_length, k),
                 primitive_length=self.pinch_length,
                 multiplicity=self.multiplicity,
             )
@@ -385,11 +385,7 @@ def sandwich_bounds(level, pinch_length, radius) -> tuple[float, float]:
     if not t < 1.0:
         raise DomainError(f"pinch length must be < min(1, radius) = 1, got {t!r}")
     pairs = surface_data(n).cusps // 2
-    if r > 700.0:
-        factor = 2.0 * r * math.exp(-0.5 * r)
-    else:
-        factor = r / math.sinh(0.5 * r)
-    lower = factor * pairs * (-math.log(t))
+    lower = r / _sinh_half(r) * pairs * (-math.log(t))
     upper = 2.0 * pairs * (math.log(r / t) + 1.0)
     return lower, upper
 

@@ -71,10 +71,6 @@ def collar_width(length: float) -> float:
     """Half-width arcsinh(1/sinh(l/2)) of the embedded collar around a simple
     closed geodesic of the given length. Strictly decreasing in the length."""
     l = _require_positive("length", length)
-    y = 0.5 * l
-    if y > 350.0:
-        # 1/sinh(y) = 2 e^{-y} to machine precision here
-        return math.asinh(2.0 * math.exp(-y))
     return math.asinh(1.0 / _sinh_half(l))
 
 
@@ -101,11 +97,7 @@ def cylinder_volume(length: float, radius: float) -> float:
     limit l -> 0."""
     l = _require_positive("length", length)
     r = _require_positive("radius", radius)
-    y = 0.5 * l
-    if y > 350.0:
-        ratio = 2.0 * l * math.exp(-y)  # underflows to 0 for very long geodesics
-    else:
-        ratio = l / _sinh_half(l)
+    ratio = l / _sinh_half(l)  # 0 for very long geodesics
     if r > 709.0:
         return math.inf if ratio > 0.0 else 0.0
     return 4.0 * math.pi * math.sinh(r) * ratio
@@ -145,11 +137,7 @@ def crossing_length_bound(pinch_length: float) -> float:
     """Minimal length 2*arcsinh(1/sinh(t/2)) of a simple closed geodesic that
     crosses a geodesic of length t; diverges as t -> 0."""
     t = _require_positive("pinch_length", pinch_length)
-    y = 0.5 * t
-    if y > 350.0:
-        return 2.0 * math.asinh(2.0 * math.exp(-y))
-    s = _sinh_half(t)
-    inv = 1.0 / s  # overflows to inf only below the subnormal floor of sinh
+    inv = 1.0 / _sinh_half(t)  # overflows to inf only below the subnormal floor of sinh
     return 2.0 * math.asinh(inv)
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .certified import CertifiedValue
 from .congruence import _as_int
@@ -23,18 +23,45 @@ from .convergence import (
     _EPS,
     PinchLadder,
     _ladder_count,
+    _ladder_sum,
+    _log_tanh,
+    _rung_length,
     _rung_weights,
     compacted_surface,
     short_spectrum,
     validity_check,
 )
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 from .hyperbolic import _sinh_half
-from .quadrature import adaptive_integral, gauss_legendre
 
-_KNOTS = 2049  # kernel spline knots; odd, so every other knot keeps both ends
+_DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
+_TERMS = (_DEGREE + 1) // 2  # even coefficients, and interpolation nodes in [0, L]
+_CHOP = 8  # trailing coefficients behind the chopping estimate
+_GEO_HEAD = 1024  # rungs of a geometric side summed term by term before Euler-Maclaurin
+_GEO_GAUSS = 128  # Gauss-Legendre nodes of the tail integral; exact to degree 255
 _R_SPLIT = 14.0  # 2r/(e^(2 pi r) + 1) is below 1e-36 past here
-_CLAMP = ((1, 0.0), "not-a-knot")  # g is even, so g'(0) = 0
+
+# The positive half of the 2 * _TERMS Chebyshev points of the first kind, and
+# the matrix taking g there to the even coefficients (a cosine transform; the
+# angles are reduced exactly, in integers, before the cosine)
+_NODES = np.cos((2 * np.arange(_TERMS) + 1) * (math.pi / (4 * _TERMS)))
+_TO_COEFFICIENTS = np.cos(
+    (np.outer(2 * np.arange(_TERMS), 2 * np.arange(_TERMS) + 1) % (8 * _TERMS))
+    * (math.pi / (4 * _TERMS))
+) / (_TERMS / 2)
+_TO_COEFFICIENTS[0] *= 0.5
+_ORDERS = np.arange(_DEGREE)  # T_0 .. T_254: the full series of g and its derivatives
+_SIGNS = (-1.0) ** np.arange(_TERMS)  # T_2j(0)
+# int_0^1 T_2j'(x)/x dx = 2j I_j, with I_j = int_0^(pi/2) sin(2j a)/cos(a) da
+# = 2 sum_(i <= j) (-1)^(j - i)/(2i - 1)
+_LOG_MOMENTS = 4.0 * np.arange(_TERMS) * _SIGNS * np.append(
+    0.0, np.cumsum(_SIGNS[1:] / (2.0 * np.arange(1, _TERMS) - 1.0)))
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,85 +108,102 @@ def bump(S, amplitude=1.0) -> TestFunction:
     return TestFunction(evaluator=phi, support_bound=S)
 
 
-def g_transform(phi: TestFunction, r) -> float:
-    """Kernel value g(r) = 2 * integral of phi(2 cosh r - 2 + s^2) over s >= 0.
-
-    Exactly zero once 2 cosh r - 2 clears the support; otherwise adaptive
-    quadrature to 1e-10 absolute.
-    """
-    r = float(r)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be a nonnegative finite real, got {r!r}")
-    S = phi.support_bound
-    if r > 500.0:
-        return 0.0
-    x0 = 2.0 * math.cosh(r) - 2.0
-    if x0 >= S:
-        return 0.0
-    s_max = math.sqrt(S - x0)
-
-    def integrand(s):
-        s = np.asarray(s, dtype=float)
-        return phi.evaluator(x0 + s * s)
-
-    value, _ = adaptive_integral(integrand, 0.0, s_max, 5e-11)
-    return 2.0 * value
-
-
 def _acosh1p(x: float) -> float:
     # arccosh(1 + x) without cancellation for small x
     return math.log1p(x + math.sqrt(x * (x + 2.0)))
+
+
+def _even_series(coefficients: np.ndarray, x):
+    """sum_j coefficients[j] T_2j(x), by Clenshaw's recurrence in
+    T_j(2x^2 - 1); x may be an array."""
+    y2 = 4.0 * np.square(x) - 2.0
+    b1, b2, b0 = np.zeros_like(y2), np.zeros_like(y2), np.empty_like(y2)
+    for c in coefficients[:0:-1].tolist():
+        # b0 = y2 b1 - b2 + c, in place: the loop is bound by array passes
+        np.multiply(y2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    return 0.5 * y2 * b1 - b2 + coefficients[0]
+
+
+def _derivative(a: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the derivative of sum a_k T_k on [-1, 1],
+    padded to the length of a: b_j = sum of 2m a_m over m > j with m - j
+    odd, halved at j = 0."""
+    w = 2.0 * np.arange(a.size) * a
+    odd = np.append(np.cumsum(w[1::2][::-1])[::-1], 0.0)  # sums over odd m >= 2i + 1
+    even = np.append(np.cumsum(w[0::2][::-1])[::-1], 0.0)  # sums over even m >= 2i
+    b = np.empty(a.size)
+    b[0::2] = odd[: b[0::2].size]
+    b[1::2] = even[1 : 1 + b[1::2].size]
+    b[0] *= 0.5
+    return b
 
 
 @dataclass(frozen=True, eq=False)
 class TransformProfile:
     """The packaged (g, h) pair for one test function.
 
-    ``spline`` is the clamped cubic spline of g on [0, g_support]; ``g`` is
-    its even extension, zero at and beyond ``g_support``. ``h`` is the cosine
-    transform of that g by a fixed rule on the kernel nodes, accurate to
-    about 1e-12 absolute while r * g_support stays below about 1300 (the
-    rule aliases past that), and ``h_batch`` is the same map over float
-    arrays.
+    g is the even Chebyshev series sum_j coefficients[j] T_2j(u/L) on
+    [-L, L], L = ``g_support``, and zero at and beyond L. ``kernel_error``
+    is an estimate, not a bound, of its distance to the exact kernel: twice
+    the sum of the last 8 coefficients (the trailing plateau, after
+    Aurentz and Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017)
+    plus a few ulp of the coefficient sum for roundoff. The columns of
+    ``ladder_series`` are g, g', ..., g^(6) (derivatives in u) as full
+    Chebyshev series in T_k(u/L), k = 0..254, for the geometric side. ``h``
+    is the cosine transform of g by a fixed rule, accurate to about 1e-12
+    absolute while r * g_support stays below about 1300 (the rule aliases
+    past that), and ``h_batch`` is the same map over float arrays.
     """
 
     g: Callable
     h: Callable[[float], float]
     g_support: float
-    spline: CubicSpline
-    g_nonincreasing: bool
+    coefficients: np.ndarray
+    kernel_error: float
+    ladder_series: np.ndarray
     h_batch: Callable[[np.ndarray], np.ndarray]
 
 
 def transform_profile(phi: TestFunction) -> TransformProfile:
-    """Evaluate g once on 2049 knots and package spline-backed g and h.
+    """Evaluate g once on 128 Chebyshev points of [0, L] and package the
+    series-backed g and h.
 
-    The spline is clamped to g'(0) = 0, since g is even. h(r) is the cosine
-    integral of the spline by a 384-point Gauss-Legendre rule on the support,
-    one route for every r. The knot count is odd so that every other knot,
-    which plancherel_integral uses to estimate the spline error, keeps both
-    ends.
+    Each value g(u) = 2 int_0^(s_max) phi(2 cosh u - 2 + s^2) ds takes a
+    128-point Gauss-Legendre rule in s. The values fix the 128 even
+    coefficients of the degree-255 interpolant on the Chebyshev points of
+    [-L, L]. h(r) is the cosine integral of that series by a 384-point
+    Gauss-Legendre rule on the support, one route for every r.
     """
     S = phi.support_bound
     L = _acosh1p(0.5 * S)
-    beta = np.linspace(0.0, L, _KNOTS)
+    beta = L * _NODES
     v = 2.0 * np.cosh(beta) - 2.0
     s_max = np.sqrt(np.maximum(S - v, 0.0))
-    xi, wq = gauss_legendre(128)
+    xi, wq = _gauss_legendre(128)
     xi = 0.5 * (xi + 1.0)
     wq = 0.5 * wq
     u_grid = v[:, None] + (s_max[:, None] ** 2) * (xi[None, :] ** 2)
     gvals = 2.0 * s_max * (np.asarray(phi.evaluator(u_grid)) @ wq)
-    gvals[-1] = 0.0
-    spline = CubicSpline(beta, gvals, bc_type=_CLAMP)
+    coefficients = _TO_COEFFICIENTS @ gvals
+    kernel_error = (2.0 * float(np.sum(np.abs(coefficients[-_CHOP:])))
+                    + 8.0 * _EPS * float(np.sum(np.abs(coefficients))))
 
-    xg, wg = gauss_legendre(384)
+    columns = [np.zeros(_DEGREE)]
+    columns[0][0::2] = coefficients
+    for _ in range(6):
+        columns.append(_derivative(columns[-1]) / L)
+    ladder_series = np.stack(columns, axis=1)
+
+    xg, wg = _gauss_legendre(384)
     xg = 0.5 * L * (xg + 1.0)
-    wg_g = 0.5 * L * wg * spline(xg)
+    wg_g = 0.5 * L * wg * _even_series(coefficients, xg / L)
 
     def g_fun(r):
         arr = np.abs(np.asarray(r, dtype=float))
-        out = np.where(arr < L, spline(np.minimum(arr, L)), 0.0)
+        out = np.where(arr < L, _even_series(coefficients, np.minimum(arr, L) / L), 0.0)
         if out.ndim == 0:
             return float(out)
         return out
@@ -176,58 +220,21 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
     def h_fun(r: float) -> float:
         return float(h_batch(np.asarray([abs(float(r))]))[0])
 
-    slack = 1e-12 * float(np.max(np.abs(gvals)) or 1.0)
     return TransformProfile(
         g=g_fun,
         h=h_fun,
         g_support=L,
-        spline=spline,
-        g_nonincreasing=bool(np.all(np.diff(gvals) <= slack) and gvals[0] >= 0.0),
+        coefficients=coefficients,
+        kernel_error=kernel_error,
+        ladder_series=ladder_series,
         h_batch=h_batch,
     )
-
-
-def h_transform(profile: TransformProfile, r) -> float:
-    """Spectral multiplier h(r) as the cosine integral of g over its support,
-    by adaptive quadrature to 1e-10 absolute; bit-identically even in r."""
-    r = abs(float(r))
-    if not math.isfinite(r):
-        raise DomainError(f"r must be a finite real, got {r!r}")
-    L = profile.g_support
-    g = profile.g
-
-    def integrand(u):
-        u = np.asarray(u, dtype=float)
-        return g(u) * np.cos(r * u)
-
-    value, _ = adaptive_integral(integrand, -L, L, 1e-10)
-    return value
-
-
-def _log_moment(spline: CubicSpline) -> tuple[float, float]:
-    """-2 * integral of g'(u)/u du over the spline's span, in closed form,
-    and a magnitude that bounds the roundoff of the terms behind it.
-
-    On a piece [a, b] the derivative is alpha + beta u + gamma u^2, whose
-    integral against 1/u is alpha log(b/a) + beta (b - a) + gamma (b^2 - a^2)/2.
-    """
-    a, b = spline.x[:-1], spline.x[1:]
-    c3, c2, c1 = spline.c[0], spline.c[1], spline.c[2]
-    dx = b - a
-    # the first piece starts at a = 0, where the clamp g'(0) = 0 makes alpha 0
-    log_ratio = np.concatenate([[0.0], np.log1p(dx[1:] / a[1:])])
-    alpha = (3.0 * c3 * a - 2.0 * c2) * a + c1
-    terms = alpha * log_ratio + (2.0 * c2 - 6.0 * c3 * a + 1.5 * c3 * (a + b)) * dx
-    m3, m2, m1 = np.abs(c3), np.abs(c2), np.abs(c1)
-    size = (((3.0 * m3 * a + 2.0 * m2) * a + m1) * log_ratio
-            + (2.0 * m2 + m3 * (7.5 * a + 1.5 * b)) * dx)
-    return -2.0 * math.fsum(terms.tolist()), 2.0 * float(np.sum(size))
 
 
 def _fermi_moment(h_batch: Callable, n: int) -> tuple[float, float]:
     """integral over [0, _R_SPLIT] of 2 r h(r)/(e^(2 pi r) + 1) by n-point
     Gauss-Legendre, and the sum of the magnitudes of its terms."""
-    x, w = gauss_legendre(n)
+    x, w = _gauss_legendre(n)
     r = 0.5 * _R_SPLIT * (x + 1.0)
     terms = _R_SPLIT * w * r * h_batch(r) / (np.exp(2.0 * math.pi * r) + 1.0)
     return math.fsum(terms.tolist()), float(np.sum(np.abs(terms)))
@@ -238,90 +245,136 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
 
     For a profile built from a test function phi this recovers phi(0). With
     r tanh(pi r) = r - 2r/(e^(2 pi r) + 1) the integral is (A - B)/2 pi:
-    A = int_0^inf r h(r) dr = -2 int_0^L g'(u)/u du in closed form over the
-    spline pieces, and B = int_0^inf 2r h(r)/(e^(2 pi r) + 1) dr by a
-    128-point rule on [0, 14] through ``profile.h_batch``.
+    A = int_0^inf r h(r) dr = -2 int_0^L g'(u)/u du, exact on the kernel
+    series (g'(u)/u is an even polynomial), and
+    B = int_0^inf 2r h(r)/(e^(2 pi r) + 1) dr by a 128-point rule on
+    [0, 14] through ``profile.h_batch``.
 
-    The radius has four parts. Two are estimates: the change in A when the
-    spline is rebuilt on every other knot (A is far more sensitive to the
-    spline error than B is), and the change in B from a 64-point rule. The
-    tail of B past r = 14 is a bound, from |h| <= 2 int |g|. The roundoff
-    part is an estimate of a few ulp per summed term.
+    The radius has five parts. Three are estimates: the kernel error as A
+    sees it, twice what the last 8 series terms add to A (A weighs T_2j
+    about 6j/L, so it is the part most sensitive to the chopping); the
+    change in B from a 64-point rule; and the roundoff, a few ulp per summed
+    term. Two are bounds given the kernel error: B moves by at most
+    L kernel_error/12 when g does by kernel_error, since |delta h| <=
+    2 L kernel_error and int 2r/(e^(2 pi r) + 1) dr = 1/24; and the tail of
+    B past r = 14, from |h| <= 2 int |g| <= 2 L sum |c_j|.
     """
-    spline = profile.spline
-    a_fine, a_size = _log_moment(spline)
-    knots = spline.x[::2]
-    a_coarse, _ = _log_moment(CubicSpline(knots, spline(knots), bc_type=_CLAMP))
+    L = profile.g_support
+    terms = profile.coefficients * _LOG_MOMENTS
+    a_value = -2.0 / L * math.fsum(terms.tolist())
+    a_chop = 4.0 / L * float(np.sum(np.abs(terms[-_CHOP:])))
+    a_size = 2.0 / L * float(np.sum(np.abs(terms)))
     b_fine, b_size = _fermi_moment(profile.h_batch, 128)
     b_coarse, _ = _fermi_moment(profile.h_batch, 64)
-    # sup |h| <= 2 int |g| <= 2 sum over the pieces of dx sup |cubic|
-    dx = np.diff(spline.x)
-    h_sup = 2.0 * float(np.sum(dx * np.polyval(np.abs(spline.c), dx)))
+    h_sup = 2.0 * L * float(np.sum(np.abs(profile.coefficients)))
     # int_R^inf 2r e^(-2 pi r) dr = e^(-2 pi R) (R/pi + 1/(2 pi^2))
     tail = h_sup * math.exp(-2.0 * math.pi * _R_SPLIT) * (_R_SPLIT / math.pi + 0.5 / math.pi**2)
+    b_kernel = L * profile.kernel_error / 12.0
     roundoff = 8.0 * _EPS * (a_size + b_size + h_sup)
     scale = 1.0 / (2.0 * math.pi)
-    value = scale * (a_fine - b_fine)
-    radius = scale * (abs(a_fine - a_coarse) + abs(b_fine - b_coarse) + tail + roundoff)
+    value = scale * (a_value - b_fine)
+    radius = scale * (a_chop + abs(b_fine - b_coarse) + b_kernel + tail + roundoff)
     return CertifiedValue(value, radius)
 
 
+def _csch_derivatives(t: float, u: float) -> np.ndarray:
+    """h, h', ..., h^(5) of h(x) = t/sinh(x t/2) at x = u/t.
+
+    With w = (t/2) coth(u/2) and v = t^2/4 they are h times 1, -w,
+    2w^2 - v, -w (6w^2 - 5v), 24w^4 - 28w^2 v + 5v^2 and
+    -w (120w^4 - 180w^2 v + 61v^2); h is completely monotone, so their
+    signs alternate.
+    """
+    h = t / _sinh_half(u)
+    w = 0.5 * t / math.tanh(0.5 * u)
+    v = 0.25 * t * t
+    w2 = w * w
+    return h * np.array([1.0, -w, 2.0 * w2 - v, -w * (6.0 * w2 - 5.0 * v),
+                         (24.0 * w2 - 28.0 * v) * w2 + 5.0 * v * v,
+                         -w * ((120.0 * w2 - 180.0 * v) * w2 + 61.0 * v * v)])
+
+
 def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> CertifiedValue:
+    """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2).
+
+    The first _GEO_HEAD rungs are summed term by term; the rest, k = a..b,
+    follow Euler-Maclaurin to order 6 (DLMF 2.10.1) for f(x) = g(x t) h(x),
+    h(x) = t/sinh(x t/2). Its integral, int g(u)/sinh(u/2) du over
+    [a t, b t], is 2 g(0) log(b/a) plus a 128-point Gauss-Legendre rule for
+    the rest: 2 (g(u) - g(0))/u, a polynomial of degree 253 on the series
+    that the rule integrates exactly, and g(u) (1/sinh(u/2) - 2/u), which
+    is analytic. The remainder obeys
+    |R_3| <= 2 |B_6|/6! int_a^b |f^(6)| (DLMF 2.10), and the Leibniz rule
+    bounds int |f^(6)| by sum_(i < 6) C(6, i) t^i G_i |h^(5-i)(a)| +
+    t^6 G_6 int h, since h is completely monotone; G_i bounds |g^(i)| by the
+    coefficient sum of its series, as |T_k| <= 1.
+    """
     t = ladder.pinch_length
     mult = ladder.multiplicity
     L = profile.g_support
     n_eff = min(ladder.count, _ladder_count(t, L))
     if n_eff == 0:
         return CertifiedValue(0.0, 0.0)
-
-    def exact_block(k_lo: int, k_hi: int) -> float:
-        parts = []
-        chunk = 2_000_000
-        for start in range(k_lo, k_hi + 1, chunk):
-            k = np.arange(start, min(start + chunk - 1, k_hi) + 1, dtype=float)
-            parts.append(float(np.sum(_rung_weights(t, k) * profile.g(k * t))))
-        return math.fsum(parts)
-
-    if n_eff <= 4_000_000:
-        core = exact_block(1, n_eff)
-        return CertifiedValue(0.5 * mult * core, 5e-15 * abs(0.5 * mult * core))
-    if not profile.g_nonincreasing:
-        raise NumericsError(
-            f"ladder needs {n_eff} kernel terms and g is not certified monotone; "
-            "cannot bracket the tail"
-        )
-    head_n = 10**6
-    head = exact_block(1, head_n)
-
-    # tail summand w(k) = t g(k t)/sinh(k t/2) is decreasing; integral bracket
-    # in u = x t: sum over k in (head_n, n_eff] lies between the integrals of
-    # g(u)/sinh(u/2) du over [a t, (n+1) t] and [a t, n t] plus w(a)
-    def kernel(u):
-        u = np.asarray(u, dtype=float)
-        return profile.g(u) / np.sinh(0.5 * u)
-
-    a = head_n + 1
-    u_lo = a * t
-    # the bracket half-width w(a) ~ 2 sup g / a dominates the radius, so the
-    # quadrature budget can stay loose
-    i_long, e_long = adaptive_integral(kernel, u_lo, min((n_eff + 1) * t, L), 1e-9)
-    i_short, e_short = adaptive_integral(kernel, u_lo, min(n_eff * t, L), 1e-9)
-    w_a = t * profile.g(u_lo) / _sinh_half(u_lo)
-    tail_lo = i_long
-    tail_hi = i_short + w_a
-    tail_mid = 0.5 * (tail_lo + tail_hi)
-    tail_rad = 0.5 * (tail_hi - tail_lo) + e_long + e_short
-    value = 0.5 * mult * (head + tail_mid)
-    return CertifiedValue(value, 0.5 * mult * (tail_rad + 5e-15 * (abs(head) + abs(tail_mid))))
+    n_head = min(n_eff, _GEO_HEAD)
+    k = np.arange(1.0, n_head + 1.0)
+    points = k * t
+    if n_eff > _GEO_HEAD:
+        a, b = _GEO_HEAD + 1, n_eff
+        # the last rung may pass L by the cutoff grace; g vanishes there
+        lo, hi = min(a * t, L), min(_rung_length(t, b), L)
+        x, w = _gauss_legendre(_GEO_GAUSS)
+        u = lo + 0.5 * (hi - lo) * (x + 1.0)
+        points = np.concatenate([points, u])
+    kernel_values = profile.g(points)
+    head_terms = _rung_weights(t, k) * kernel_values[:n_head]
+    head = math.fsum(head_terms.tolist())
+    # a few ulp per term, plus the rounding of y = k t/2 in the weight
+    roundoff = _EPS * (8.0 * float(np.sum(np.abs(head_terms)))
+                       + 0.5 * t * float(np.dot(np.abs(head_terms), k)))
+    value, remainder = head, 0.0
+    if n_eff > _GEO_HEAD:
+        g0 = float(_SIGNS @ profile.coefficients)
+        log_ratio = math.log(b / a) if hi < L else math.log(L / lo)
+        ends = np.cos(np.outer(np.arccos([lo / L, hi / L]), _ORDERS)) @ profile.ladder_series
+        w = 0.5 * (hi - lo) * w
+        g_rule, csch_rule = kernel_values[n_head:], 1.0 / np.sinh(0.5 * u)
+        rest = w * (g_rule * csch_rule - 2.0 * g0 / u)
+        parts = [2.0 * g0 * log_ratio]
+        # the endpoint terms f/2, -+ f'/12 and +- f3/720 at a (sign 1) and b (sign -1)
+        for end, u_end, sign in ((ends[0], lo, 1.0), (ends[1], hi, -1.0)):
+            g_, g1, g2, g3 = end[:4]
+            h = _csch_derivatives(t, u_end)
+            parts += [0.5 * g_ * h[0],
+                      -sign * (t * g1 * h[0] + g_ * h[1]) / 12.0,
+                      sign * (t**3 * g3 * h[0] + 3.0 * t * t * g2 * h[1] + 3.0 * t * g1 * h[2]
+                              + g_ * h[3]) / 720.0]
+        value = head + math.fsum(parts) + math.fsum(rest.tolist())
+        sups = np.sum(np.abs(profile.ladder_series), axis=0)
+        h_a = np.abs(_csch_derivatives(t, lo))
+        leibniz = sum(math.comb(6, i) * t**i * sups[i] * h_a[5 - i] for i in range(6))
+        leibniz += t**6 * sups[6] * 2.0 * (_log_tanh(0.25 * hi) - _log_tanh(0.25 * lo))
+        remainder = leibniz / 15120.0  # 2 |B_6|/6! = 1/15120
+        # the two parts of each term of the rule cancel; charge a few ulp of both
+        roundoff += 8.0 * _EPS * (math.fsum(abs(p) for p in parts)
+                                  + float(w @ (np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / u)))
+    weight_sum, weight_err = _ladder_sum(t, n_eff)
+    kernel_charge = profile.kernel_error * (weight_sum + weight_err)
+    value *= 0.5 * mult
+    return CertifiedValue(
+        value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value))
 
 
 def geometric_side(spectrum, g) -> CertifiedValue:
     """Length-spectrum side: sum of multiplicity * primitive_length /
     (2 sinh(length/2)) * g(length).
 
-    ``g`` may be a TransformProfile or a bare kernel callable; ladders too
-    long to materialize require a profile (its support and monotonicity data
-    drive a certified head-plus-bracket evaluation).
+    ``g`` may be a TransformProfile or a bare kernel callable; a pinch
+    ladder needs a profile, and takes one route at any length: the first
+    1024 rungs term by term, the rest by Euler-Maclaurin on the kernel
+    series. With a profile, the radius charges ``kernel_error`` times the
+    summed weights on either route. The Euler-Maclaurin remainder is a
+    proven bound for the series kernel; the kernel error and the roundoff
+    (a few ulp per computed term) are estimates.
     """
     if isinstance(g, TransformProfile):
         kernel = g.g
@@ -337,13 +390,14 @@ def geometric_side(spectrum, g) -> CertifiedValue:
                 "summing a pinch ladder needs a TransformProfile for its support data"
             )
         return _ladder_geometric(spectrum, profile)
-    terms = [
-        cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
-        * kernel(cls.length)
-        for cls in spectrum
-    ]
+    weighted = [(cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length)),
+                 cls.length) for cls in spectrum]
+    terms = [w * kernel(length) for w, length in weighted]
     value = math.fsum(terms)
-    return CertifiedValue(value, 3e-16 * math.fsum(abs(x) for x in terms))
+    radius = 3e-16 * math.fsum(abs(x) for x in terms)
+    if profile is not None:
+        radius += profile.kernel_error * math.fsum(w for w, _ in weighted)
+    return CertifiedValue(value, radius)
 
 
 @dataclass(frozen=True)

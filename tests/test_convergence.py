@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -142,6 +143,17 @@ def test_ladder_indexing():
         ladder[5]
     with pytest.raises(IndexError):
         ladder[-6]
+
+
+def test_ladder_iteration_matches_indexing():
+    # 0.1 is not 1/10, so k * 0.1 is not the decimal k/10 (3 * 0.1 rounds up
+    # to 0.30000000000000004); iteration and indexing round k t alike
+    ladder = pinch_ladder(0.1, 2.0, 1)
+    iterated = [cls.length for cls in ladder]
+    indexed = [ladder[k].length for k in range(ladder.count)]
+    assert iterated == indexed
+    assert iterated == [float(Fraction(0.1) * (k + 1)) for k in range(ladder.count)]
+    assert iterated[2] != 0.3
 
 
 def test_huge_ladder_count():

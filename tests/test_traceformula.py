@@ -11,9 +11,8 @@ from pinchlab import (
     Schedule,
     TestFunction,
     bump,
-    g_transform,
+    compacted_surface,
     geometric_side,
-    h_transform,
     pinch_ladder,
     plancherel_integral,
     plancherel_sum,
@@ -22,6 +21,77 @@ from pinchlab import (
 )
 
 mp.mp.dps = 50
+
+# ---------------------------------------------------------------- references
+# Built from numpy alone, on another rule than the package's 128-point one:
+# 16 Gauss-Legendre panels of 64 nodes each in y = s / s_max over (0, 1).
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_PANELS = 16
+_REF_Y = ((np.arange(_PANELS)[:, None] + 0.5 * (_GL_X[None, :] + 1.0)) / _PANELS).ravel()
+_REF_W = np.tile(0.5 * _GL_W / _PANELS, _PANELS)
+_DIRECT_LIMIT = 10**5  # reference ladders up to this many rungs are summed term by term
+_EM_HEAD = 2000  # rungs summed term by term in front of the reference's Euler-Maclaurin tail
+
+
+def reference_kernel(S, u):
+    """g(u) = 2 * integral over s in (0, sqrt(S - v)) of phi(v + s^2) ds,
+    v = 2 cosh u - 2, for the unit bump of support S, by a 1024-point
+    composite Gauss-Legendre rule; zero once v reaches S."""
+    u = np.atleast_1d(np.abs(np.asarray(u, dtype=float)))
+    out = np.empty(u.size)
+    for lo in range(0, u.size, 2048):
+        v = 2.0 * np.cosh(u[lo : lo + 2048]) - 2.0
+        s_max = np.sqrt(np.maximum(S - v, 0.0))
+        x = (v[:, None] + (s_max[:, None] * _REF_Y[None, :]) ** 2) / S
+        w = 1.0 - x * x
+        inside = w > 0.0
+        phi = np.where(inside, np.exp(-1.0 / np.where(inside, w, 1.0)), 0.0)
+        out[lo : lo + 2048] = 2.0 * s_max * (phi @ _REF_W)
+    return out
+
+
+def _ref_summand(S, t, k):
+    """t g(k t) / sinh(k t / 2) over an array of rungs k."""
+    u = k * t
+    return t * reference_kernel(S, u) / np.sinh(0.5 * u)
+
+
+def reference_geometric(S, t, count, multiplicity):
+    """(multiplicity / 2) * sum over k = 1..count of t g(k t)/sinh(k t/2) with
+    the reference kernel.
+
+    Up to _DIRECT_LIMIT rungs the sum is direct. Longer ladders must cover
+    the support; their terms from _EM_HEAD on follow Euler-Maclaurin, with
+    the integral of g(u)/sinh(u/2) taken in s = log u (constant to machine
+    precision below u = e^-40, composite Gauss-Legendre above) and the
+    derivative corrections at _EM_HEAD by central differences. The terms at
+    the far end vanish with all their derivatives, since g is flat there.
+    """
+    L = math.acosh(1.0 + 0.5 * S)
+    if count <= _DIRECT_LIMIT:
+        k = np.arange(1.0, count + 1.0)
+        return 0.5 * multiplicity * math.fsum(_ref_summand(S, t, k).tolist())
+    assert count * t >= L - t, "the Euler-Maclaurin reference needs a covering ladder"
+    head = math.fsum(_ref_summand(S, t, np.arange(1.0, _EM_HEAD)).tolist())
+    a = float(_EM_HEAD)
+    near = _ref_summand(S, t, a + np.arange(-2.0, 3.0))
+    d1 = (near[0] - 8.0 * near[1] + 8.0 * near[3] - near[4]) / 12.0
+    d3 = (near[4] - 2.0 * near[3] + 2.0 * near[1] - near[0]) / 2.0
+    s_lo, s_hi = math.log(a * t), math.log(L)
+    flat = max(s_lo, -40.0)
+    # below e^-40, g(u) u / sinh(u/2) is 2 g(0) to machine precision
+    integral = 2.0 * float(reference_kernel(S, 0.0)[0]) * (flat - s_lo)
+    # g varies on the last few units of s, and is flat towards its edge at L
+    bend = max(flat, s_hi - 4.0)
+    edges = np.concatenate([np.linspace(flat, bend, 33)[:-1], np.linspace(bend, s_hi, 97)])
+    x, w = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * np.diff(edges)
+    s = (edges[:-1, None] + half[:, None] * (x[None, :] + 1.0)).ravel()
+    u = np.exp(s)
+    vals = reference_kernel(S, u) * u / np.sinh(0.5 * u) * (half[:, None] * w[None, :]).ravel()
+    integral += math.fsum(vals.tolist())
+    tail = integral + 0.5 * near[2] - d1 / 12.0 + d3 / 720.0
+    return 0.5 * multiplicity * (head + tail)
 
 
 @pytest.fixture(scope="module")
@@ -66,71 +136,82 @@ def test_test_function_support_enforced():
 
 # ---------------------------------------------------------------- g
 
-def test_g_zero_beyond_support():
-    phi = bump(1.0)
+def test_g_zero_beyond_support(profile1):
     edge = math.acosh(1.5)
     for r in (edge, edge + 1e-9, 2.0, 30.0, 600.0):
-        assert g_transform(phi, r) == 0.0
+        assert profile1.g(r) == 0.0
+        assert profile1.g(-r) == 0.0
+    assert reference_kernel(1.0, edge + 1e-9)[0] == 0.0
 
 
 def test_g_at_zero_against_quad():
     for S in (0.5, 1.0, 4.0):
-        phi = bump(S)
         ref, _ = quad(lambda s: math.exp(-1.0 / (1.0 - (s * s / S) ** 2)),
-                      0.0, math.sqrt(S), epsabs=1e-13, epsrel=1e-13)
-        assert abs(g_transform(phi, 0.0) - 2.0 * ref) <= 5e-10
+                      0.0, math.sqrt(S), epsabs=1e-14, epsrel=1e-14)
+        assert abs(transform_profile(bump(S)).g(0.0) - 2.0 * ref) <= 1e-13
 
 
 def test_g_scales_with_amplitude():
     r = 0.3
-    base = g_transform(bump(1.0), r)
-    assert g_transform(bump(1.0, amplitude=3.0), r) == pytest.approx(3.0 * base, abs=2e-10)
+    base = transform_profile(bump(1.0)).g(r)
+    assert transform_profile(bump(1.0, amplitude=3.0)).g(r) == pytest.approx(3.0 * base,
+                                                                              rel=1e-14)
 
 
 def test_g_nonincreasing():
-    phi = bump(2.0)
-    grid = np.linspace(0.0, math.acosh(2.0), 30)
-    vals = [g_transform(phi, r) for r in grid]
+    profile = transform_profile(bump(2.0))
+    vals = profile.g(np.linspace(0.0, math.acosh(2.0), 301))
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_g_rejects_negative_argument():
-    with pytest.raises(DomainError):
-        g_transform(bump(1.0), -0.1)
 
 
 # ---------------------------------------------------------------- profile
 
 def test_profile_matches_direct_g(profile1):
-    phi = bump(1.0)
     L = profile1.g_support
     assert L == pytest.approx(math.acosh(1.5), rel=1e-15)
-    for r in np.linspace(0.0, L * 0.999, 17):
-        assert abs(profile1.g(r) - g_transform(phi, r)) <= 1e-9
+    grid = np.linspace(0.0, L * 0.999, 17)
+    for r, ref in zip(grid, reference_kernel(1.0, grid)):
+        assert abs(profile1.g(r) - ref) <= profile1.kernel_error
     assert profile1.g(L) == 0.0
     assert profile1.g(10.0) == 0.0
 
 
+@pytest.mark.parametrize("S", [0.25, 1.0, 8.0])
+def test_profile_kernel_error_covers_reference(S):
+    # the stated kernel error is an estimate; hold it against the reference
+    # kernel on a grid much finer than the series' 128 nodes
+    profile = transform_profile(bump(S))
+    grid = np.linspace(0.0, profile.g_support, 4001)
+    miss = float(np.max(np.abs(profile.g(grid) - reference_kernel(S, grid))))
+    assert miss <= profile.kernel_error <= 1e-12 * profile.g(0.0)
+
+
 def test_profile_metadata(profile1):
-    assert profile1.g_nonincreasing
+    assert profile1.coefficients.shape == (128,)
+    assert 0.0 < profile1.kernel_error <= 1e-13
+    # g(0) is the alternating sum of the even Chebyshev coefficients
+    signs = (-1.0) ** np.arange(128)
+    assert profile1.g(0.0) == pytest.approx(float(signs @ profile1.coefficients), rel=1e-14)
 
 
 # ---------------------------------------------------------------- h
 
 def test_h_at_zero_is_g_mass(profile1):
     ref, _ = quad(profile1.g, 0.0, profile1.g_support, epsabs=1e-13, epsrel=1e-13)
-    assert abs(h_transform(profile1, 0.0) - 2.0 * ref) <= 1e-9
+    assert abs(profile1.h(0.0) - 2.0 * ref) <= 1e-12
 
 
 def test_h_even_bit_identical(profile1):
     for r in (0.0, 0.37, 1.0, 4.5, 80.0):
-        assert h_transform(profile1, r) == h_transform(profile1, -r)
         assert profile1.h(r) == profile1.h(-r)
 
 
 def test_h_fast_path_matches_adaptive(profile1):
+    # h(r) = 2 int_0^L g(u) cos(r u) du, by QUADPACK's cosine-weighted rule
+    L = profile1.g_support
     for r in (0.0, 0.5, 0.999, 1.0, 2.7, 10.0, 100.0):
-        assert abs(profile1.h(r) - h_transform(profile1, r)) <= 5e-10
+        ref, _ = quad(profile1.g, 0.0, L, weight="cos", wvar=r, epsabs=1e-13, limit=200)
+        assert abs(profile1.h(r) - 2.0 * ref) <= 1e-11
 
 
 def test_h_batch_matches_scalar(profile1):
@@ -213,6 +294,27 @@ def test_geometric_side_ladder_matches_list(profile1):
     slow = geometric_side(list(ladder), profile1)
     assert float(fast) == pytest.approx(float(slow), rel=1e-12)
     assert abs(float(fast) - float(slow)) <= fast.radius + slow.radius
+    # both routes charge the kernel error, so both enclose the reference
+    ref = reference_geometric(1.0, 0.01, ladder.count, 6)
+    assert abs(float(fast) - ref) <= fast.radius
+    assert abs(float(slow) - ref) <= slow.radius
+    weights = math.fsum(3.0 * c.primitive_length / math.sinh(0.5 * c.length) for c in ladder)
+    assert slow.radius >= profile1.kernel_error * weights
+
+
+@pytest.fixture(scope="module")
+def grid_profiles():
+    return {S: transform_profile(bump(S)) for S in (0.25, 0.75, 1.0, 4.0, 8.0)}
+
+
+@pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4, 1e-8, 1e-300])
+@pytest.mark.parametrize("S", [0.25, 0.75, 1.0, 4.0, 8.0])
+def test_geometric_side_encloses_reference(grid_profiles, S, t):
+    profile = grid_profiles[S]
+    ladder = pinch_ladder(t, profile.g_support, 12)
+    side = geometric_side(ladder, profile)
+    ref = reference_geometric(S, t, ladder.count, 12)
+    assert abs(float(side) - ref) <= side.radius <= 1e-12 * float(side)
 
 
 def test_geometric_side_termwise_sandwich(profile1):
@@ -229,19 +331,16 @@ def test_geometric_side_termwise_sandwich(profile1):
 
 
 def test_geometric_side_bracket_route(profile1):
-    # past the exact-summation cap the head is summed and the tail bracketed;
-    # check it against brute force while that is still affordable
-    t = 1e-7
+    # past the head the rungs follow Euler-Maclaurin; check the whole ladder
+    # against brute-force summation of the same kernel
+    t = 1e-6
     ladder = pinch_ladder(t, 1.0, 2)
     val = geometric_side(ladder, profile1)
     n_eff = int(profile1.g_support * (1.0 + 1e-12) / t)
-    acc = 0.0
-    for start in range(1, n_eff + 1, 2_000_000):
-        k = np.arange(start, min(start + 2_000_000 - 1, n_eff) + 1, dtype=float)
-        acc += float(np.sum(t / (2.0 * np.sinh(0.5 * k * t)) * profile1.g(k * t)))
-    acc *= 2.0
+    k = np.arange(1.0, n_eff + 1.0)
+    acc = 2.0 * math.fsum((t / (2.0 * np.sinh(0.5 * k * t)) * profile1.g(k * t)).tolist())
     assert abs(float(val) - acc) <= val.radius + 1e-9 * acc
-    assert val.radius <= 1e-4 * float(val)
+    assert val.radius <= 1e-12 * float(val)
 
 
 def test_geometric_side_huge_ladder_is_cheap(profile1):
@@ -276,6 +375,21 @@ def test_vanishing_series_flags_uncertified_rows():
     rows = vanishing_series(sched, phi, 10)
     assert not rows[0].valid and math.isnan(rows[0].normalized)
     assert rows[1].valid and math.isfinite(rows[1].normalized)
+
+
+def test_vanishing_series_superexponential():
+    # t = exp(-N^2) reaches 10^43 rungs at N = 10
+    sched = Schedule.from_rule("super", range(3, 11), "superexponential")
+    rows = vanishing_series(sched, bump(1.0), 10)
+    assert [row.level for row in rows] == list(range(3, 11))
+    assert all(row.valid for row in rows)
+    L = math.acosh(1.5)
+    for row in rows:
+        pairs = compacted_surface(row.level, row.pinch).pinched_count
+        count = pinch_ladder(row.pinch, L, pairs).count
+        ref = reference_geometric(1.0, row.pinch, count, pairs)
+        volume = compacted_surface(row.level, row.pinch).volume
+        assert row.normalized == pytest.approx(ref / volume, rel=1e-12)
 
 
 def test_vanishing_series_respects_j_max():
