@@ -26,13 +26,5 @@ class CertifiedValue(float):
         obj.radius = radius
         return obj
 
-    @property
-    def relative_radius(self) -> float:
-        """Radius divided by |value|; 0 for an exact zero, inf if only the value is zero."""
-        v = float(self)
-        if v != 0.0:
-            return self.radius / abs(v)
-        return 0.0 if self.radius == 0.0 else math.inf
-
     def __repr__(self) -> str:
         return f"CertifiedValue({float(self)!r}, radius={self.radius!r})"

@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .congruence import (
@@ -28,7 +27,7 @@ from .congruence import (
     witness_matrix,
 )
 from .convergence import Schedule, classify_schedule
-from .errors import NumericsError, PinchlabError
+from .errors import PinchlabError
 from .traceformula import bump, plancherel_integral, transform_profile
 
 _SEARCH_CAP = 10**10  # refuse systole searches projected beyond this many candidates
@@ -40,16 +39,6 @@ class _UsageError(Exception):
 
 class _Refusal(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: command, its parameters, and output routing."""
-
-    command: str
-    parameters: dict
-    output_path: str | None
-    output_format: str
 
 
 def _fmt_float(x: float) -> str:
@@ -85,13 +74,13 @@ def _json_cell(v):
     return v
 
 
-def _json_text(columns, rows, extra: dict, config: RunConfig, wall: float) -> str:
+def _json_text(columns, rows, extra: dict, command: str, params: dict, wall: float) -> str:
     doc = {"rows": [{col: _json_cell(row[col]) for col in columns} for row in rows]}
     doc.update(extra)
     doc["meta"] = {
         "version": __version__,
-        "command": config.command,
-        "config": config.parameters,
+        "command": command,
+        "config": params,
         "wall_clock_s": wall,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -358,12 +347,6 @@ def main(argv=None) -> int:
     params = {
         k: v for k, v in vars(args).items() if k not in ("command", "out", "format")
     }
-    config = RunConfig(
-        command=args.command,
-        parameters=params,
-        output_path=args.out,
-        output_format=args.format,
-    )
     start = time.perf_counter()
     try:
         columns, rows, extra, footer, code = _HANDLERS[args.command](params)
@@ -373,18 +356,15 @@ def main(argv=None) -> int:
     except _Refusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except NumericsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except PinchlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start
-    if config.output_format == "csv":
+    if args.format == "csv":
         text = _csv_text(columns, rows, footer)
     else:
-        text = _json_text(columns, rows, extra, config, wall)
-    _write_output(config.output_path, text)
+        text = _json_text(columns, rows, extra, args.command, params, wall)
+    _write_output(args.out, text)
     return code
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError, InternalInvariantViolation, _as_int, _as_level
 from .hyperbolic import length_from_trace
 
 
@@ -45,12 +45,6 @@ class CongruenceSurfaceData:
     cusps: int
     systole: float
     area: float
-
-
-def _as_int(name: str, x) -> int:
-    if isinstance(x, bool) or int(x) != x:
-        raise DomainError(f"{name} must be an integer, got {x!r}")
-    return int(x)
 
 
 def _distinct_primes(n: int) -> list[int]:
@@ -108,17 +102,12 @@ def _surface_data_cached(n: int) -> CongruenceSurfaceData:
 
 def surface_data(level) -> CongruenceSurfaceData:
     """Complete exact record for level N >= 3 (torsion-free levels only)."""
-    n = _as_int("level", level)
-    if n < 3:
-        raise DomainError(f"level must be >= 3 for a torsion-free surface, got {n}")
-    return _surface_data_cached(n)
+    return _surface_data_cached(_as_level(level))
 
 
 def is_in_gamma(m: IntegerMatrix2, level) -> bool:
     """Whether the matrix is congruent to the identity mod N. Requires det 1."""
-    n = _as_int("level", level)
-    if n < 3:
-        raise DomainError(f"level must be >= 3, got {n}")
+    n = _as_level(level)
     if m.det != 1:
         raise DomainError(f"matrix determinant must be 1, got {m.det}")
     return (
@@ -131,15 +120,13 @@ def is_in_gamma(m: IntegerMatrix2, level) -> bool:
 
 def witness_matrix(level) -> IntegerMatrix2:
     """A concrete level-N matrix with |trace| = N^2 - 2, attaining the systole."""
-    n = _as_int("level", level)
-    if n < 3:
-        raise DomainError(f"level must be >= 3, got {n}")
+    n = _as_level(level)
     return IntegerMatrix2(a=1 - n * n, b=n, c=-n, d=1)
 
 
 def search_size_estimate(level, entry_bound) -> int:
     """Number of (a, b, d) candidates the minimal-trace search will visit."""
-    n = _as_int("level", level)
+    n = _as_level(level)
     bound = _as_int("entry_bound", entry_bound)
     a_count = len(range(-bound + ((1 + bound) % n), bound + 1, n))
     inner = 0
@@ -158,9 +145,7 @@ def min_hyperbolic_trace(level, entry_bound) -> int | None:
     Returns None only if no hyperbolic element lies in the box, which cannot
     happen when the precondition entry_bound >= N^2 holds.
     """
-    n = _as_int("level", level)
-    if n < 3:
-        raise DomainError(f"level must be >= 3, got {n}")
+    n = _as_level(level)
     bound = _as_int("entry_bound", entry_bound)
     if bound < n * n:
         raise DomainError(

@@ -17,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .certified import CertifiedValue
-from .congruence import _as_int, surface_data
-from .errors import DomainError, NumericsError, ValidityError
-from .hyperbolic import _sinh_half, crossing_length_bound, length_from_trace
+from .congruence import surface_data
+from .errors import (DomainError, InternalInvariantViolation, ValidityError, _as_int,
+                     _as_level, _require_positive)
+from .hyperbolic import _sinh_half, crossing_length_bound, distortion_bound, length_from_trace
 
 # Decimal-intended floats get a 1e-12 relative grace at the cutoff, so a
 # ladder with t = 0.2, R = 1 has five rungs even though float(0.2) > 1/5.
@@ -33,22 +34,13 @@ _TINY = math.ulp(0.0)  # the smallest positive float
 
 
 def _validate_pinch(t) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"pinch length must be a positive finite real, got {t!r}")
+    t = _require_positive("pinch length", t)
     if t < _MIN_PINCH:
         raise DomainError(
             f"pinch length {t!r} is below the representable floor {_MIN_PINCH}; "
             "a schedule rule has likely underflowed"
         )
     return t
-
-
-def _validate_radius(r) -> float:
-    r = float(r)
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError(f"radius must be a positive finite real, got {r!r}")
-    return r
 
 
 @dataclass(frozen=True)
@@ -71,8 +63,7 @@ class GeodesicClass:
     multiplicity: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.primitive_length) and self.primitive_length > 0.0):
-            raise DomainError(f"primitive_length must be positive, got {self.primitive_length!r}")
+        _require_positive("primitive_length", self.primitive_length)
         if _as_int("multiplicity", self.multiplicity) < 1:
             raise DomainError(f"multiplicity must be >= 1, got {self.multiplicity!r}")
         ratio = self.length / self.primitive_length
@@ -109,7 +100,7 @@ class PinchLadder:
 
     def __init__(self, pinch_length: float, radius: float, multiplicity: int) -> None:
         t = _validate_pinch(pinch_length)
-        r = _validate_radius(radius)
+        r = _require_positive("radius", radius)
         m = _as_int("multiplicity", multiplicity)
         if m < 1:
             raise DomainError(f"multiplicity must be >= 1, got {m}")
@@ -162,7 +153,7 @@ def compacted_surface(level, pinch_length) -> CompactedSurface:
     genus = sd.genus + pairs
     # Euler characteristic of the gluing: index = 24*(genus - 1), exactly
     if sd.index_d != 24 * (genus - 1):
-        raise NumericsError(
+        raise InternalInvariantViolation(
             f"volume bookkeeping failed at level {sd.level}: d = {sd.index_d}, genus = {genus}"
         )
     return CompactedSurface(
@@ -179,26 +170,35 @@ def other_geodesic_floor(level, pinch_length) -> float:
     power of a pinched one: the crossing bound and the distorted
     simple-geodesic bound. (The distorted figure-eight bound is twice the
     latter, so it is never the minimum.)"""
-    n = _as_int("level", level)
-    if n < 3:
-        raise DomainError(f"level must be >= 3, got {n}")
+    n = _as_level(level)
     t = _validate_pinch(pinch_length)
     if t >= 0.5:
         raise DomainError(
             f"pinch length must be < 1/2 for the distortion bound to apply, got {t!r}"
         )
     half_sys = 0.5 * length_from_trace(n * n - 2)
-    distort = 1.0 + 1.25 * t * t
-    return min(crossing_length_bound(t), half_sys / distort)
+    return min(crossing_length_bound(t), half_sys / distortion_bound(t))
 
 
 def validity_check(level, pinch_length, radius) -> bool:
     """True iff every closed geodesic of length <= radius is provably a power
     of a pinched geodesic, so the ladder below is the complete short
     spectrum. False for t >= 1/2, where the distortion bound does not apply."""
-    r = _validate_radius(radius)
+    r = _require_positive("radius", radius)
     t = _validate_pinch(pinch_length)
     return t < 0.5 and other_geodesic_floor(level, t) > r
+
+
+def _require_valid(level, pinch_length, radius, why: str) -> float:
+    """The radius, if it lies below other_geodesic_floor; else ValidityError."""
+    floor = other_geodesic_floor(level, pinch_length)
+    r = _require_positive("radius", radius)
+    if not floor > r:
+        raise ValidityError(
+            f"radius {r} is not below the guaranteed floor {floor:.6g} for level "
+            f"{level}, t = {pinch_length}; {why}"
+        )
+    return r
 
 
 def short_spectrum(level, pinch_length, radius) -> PinchLadder:
@@ -207,13 +207,7 @@ def short_spectrum(level, pinch_length, radius) -> PinchLadder:
     Raises ValidityError outside the certified radius; use pinch_ladder for
     the raw ladder without the completeness claim.
     """
-    floor = other_geodesic_floor(level, pinch_length)
-    r = _validate_radius(radius)
-    if not floor > r:
-        raise ValidityError(
-            f"radius {r} is not below the guaranteed floor {floor:.6g} for level "
-            f"{level}, t = {pinch_length}; the ladder would be incomplete"
-        )
+    r = _require_valid(level, pinch_length, radius, "the ladder would be incomplete")
     pairs = surface_data(level).cusps // 2
     return PinchLadder(pinch_length, r, pairs)
 
@@ -230,19 +224,22 @@ def _rung_weights(t: float, k: np.ndarray) -> np.ndarray:
     return t * (np.exp(y) / np.expm1(y + y)) * -2.0
 
 
-def _odd_derivatives(t: float, length: float) -> tuple[float, float, float, float]:
-    """f, f', f''' and f^(5) of f(x) = t/sinh(x t/2) at x = length/t.
+def _weight_derivatives(t: float, length: float) -> tuple[float, ...]:
+    """f, f', ..., f^(5) of the rung weight f(x) = t/sinh(x t/2) at x = length/t.
 
-    With w = (t/2) coth(x t/2) and v = t^2/4 the three derivatives are f
-    times -w, w (5v - 6w^2) and w ((180v - 120w^2) w^2 - 61v^2).
+    With w = (t/2) coth(x t/2) and v = t^2/4 they are f times 1, -w,
+    2w^2 - v, w (5v - 6w^2), (24w^2 - 28v) w^2 + 5v^2 and
+    w ((180v - 120w^2) w^2 - 61v^2); f is completely monotone, so their
+    signs alternate.
     """
     f = t / _sinh_half(length)
     if f == 0.0:
-        return 0.0, 0.0, 0.0, 0.0
+        return (0.0,) * 6
     w = 0.5 * t / math.tanh(0.5 * length)
     v = 0.25 * t * t
     w2 = w * w
-    return (f, -f * w, f * w * (5.0 * v - 6.0 * w2),
+    return (f, -f * w, f * (2.0 * w2 - v), f * w * (5.0 * v - 6.0 * w2),
+            f * ((24.0 * w2 - 28.0 * v) * w2 + 5.0 * v * v),
             f * w * ((180.0 * v - 120.0 * w2) * w2 - 61.0 * v * v))
 
 
@@ -280,8 +277,8 @@ def _ladder_sum(t: float, count: int) -> tuple[float, float]:
     if count <= _HEAD:
         return head, roundoff
     lo = (_HEAD + 1) * t  # the first tail length
-    fa, da1, da3, da5 = _odd_derivatives(t, lo)
-    fb, db1, db3, _ = _odd_derivatives(t, hi)
+    fa, da1, _, da3, _, da5 = _weight_derivatives(t, lo)
+    fb, db1, _, db3, _, _ = _weight_derivatives(t, hi)
     log_a, log_b = _log_tanh(0.25 * lo), _log_tanh(0.25 * hi)
     value = (head + 2.0 * (log_b - log_a) + 0.5 * (fa + fb)
              + (db1 - da1) / 12.0 - (db3 - da3) / 720.0)
@@ -305,7 +302,7 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
     assumes libm exp, expm1, sinh, tanh and log are that accurate. Explicit
     class lists are summed term by term.
     """
-    r = _validate_radius(radius)
+    r = _require_positive("radius", radius)
     grace = r * (1.0 + 1e-12)
     if isinstance(spectrum, PinchLadder):
         t, count, mult = spectrum.pinch_length, spectrum.count, spectrum.multiplicity
@@ -339,14 +336,8 @@ def bs_ratio(level, pinch_length, radius) -> float:
     pairs, and the ratio collapses to 3/(2 pi N); returns 0 when even the
     pinched geodesics are longer than the radius.
     """
-    n = _as_int("level", level)
-    r = _validate_radius(radius)
-    floor = other_geodesic_floor(n, pinch_length)
-    if not floor > r:
-        raise ValidityError(
-            f"radius {r} is not below the guaranteed floor {floor:.6g}; "
-            "the simple-geodesic count is not certified"
-        )
+    n = _as_level(level)
+    r = _require_valid(n, pinch_length, radius, "the simple-geodesic count is not certified")
     if float(pinch_length) > r:
         return 0.0
     return 3.0 / (2.0 * math.pi * n)
@@ -375,9 +366,7 @@ def sandwich_bounds(level, pinch_length, radius) -> tuple[float, float]:
     Pure ladder inequalities: no completeness claim about the spectrum is
     needed, so only t < min(1, R) and R >= 1 are required.
     """
-    n = _as_int("level", level)
-    if n < 3:
-        raise DomainError(f"level must be >= 3, got {n}")
+    n = _as_level(level)
     t = _validate_pinch(pinch_length)
     r = float(radius)
     if not (math.isfinite(r) and r >= 1.0):
@@ -411,10 +400,7 @@ class Schedule:
             raise DomainError(f"schedule name must be a nonempty string, got {self.name!r}")
         if not self.levels:
             raise DomainError("schedule must contain at least one level")
-        levels = tuple(_as_int("level", n) for n in self.levels)
-        for n in levels:
-            if n < 3:
-                raise DomainError(f"levels must be >= 3, got {n}")
+        levels = tuple(_as_level(n) for n in self.levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DomainError("levels must be strictly increasing")
         if len(self.pinch_lengths) != len(levels):
@@ -497,7 +483,7 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
     Rows whose pinch length defeats the validity floor are flagged rather
     than fatal; their criterion fields are NaN.
     """
-    r = _validate_radius(radius)
+    r = _require_positive("radius", radius)
     j_cap = _as_int("j_max", j_max)
     if j_cap < 1:
         raise DomainError(f"j_max must be >= 1, got {j_cap}")

@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NotHyperbolic
+from .errors import DomainError, NotHyperbolic, _as_int, _require_positive
 
 LOG2 = math.log(2.0)
 
 # sinh(arcsinh(1)) = 1: the radius at which the radius-R collar specializes
 # to the standard collar.
 STANDARD_COLLAR_RADIUS = math.asinh(1.0)
-
-
-def _require_positive(name: str, x: float) -> float:
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"{name} must be a positive finite real, got {x!r}")
-    return x
 
 
 def _sinh_half(length: float) -> float:
@@ -106,8 +99,8 @@ def cylinder_volume(length: float, radius: float) -> float:
 def thin_part_upper_bound(simple_count: int, radius: float) -> float:
     """Upper bound 8*pi*sinh(R)*count for the volume of the R-thin part, given
     the number of simple closed geodesics of length at most 2R."""
-    n = int(simple_count)
-    if n != simple_count or n < 0:
+    n = _as_int("simple_count", simple_count)
+    if n < 0:
         raise DomainError(f"simple_count must be a nonnegative integer, got {simple_count!r}")
     r = _require_positive("radius", radius)
     if n == 0:

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .certified import CertifiedValue
-from .congruence import _as_int
 from .convergence import (
     _EPS,
     PinchLadder,
@@ -27,11 +26,12 @@ from .convergence import (
     _log_tanh,
     _rung_length,
     _rung_weights,
+    _weight_derivatives,
     compacted_surface,
     short_spectrum,
     validity_check,
 )
-from .errors import DomainError
+from .errors import DomainError, _as_int, _require_positive
 from .hyperbolic import _sinh_half
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
@@ -40,6 +40,7 @@ _CHOP = 8  # trailing coefficients behind the chopping estimate
 _GEO_HEAD = 1024  # rungs of a geometric side summed term by term before Euler-Maclaurin
 _GEO_GAUSS = 128  # Gauss-Legendre nodes of the tail integral; exact to degree 255
 _R_SPLIT = 14.0  # 2r/(e^(2 pi r) + 1) is below 1e-36 past here
+_H_REACH = 1300.0  # largest r * g_support for h; the 384-point rule aliases from about 1370
 
 # The positive half of the 2 * _TERMS Chebyshev points of the first kind, and
 # the matrix taking g there to the even coefficients (a cosine transform; the
@@ -74,9 +75,7 @@ class TestFunction:
     support_bound: float
 
     def __post_init__(self) -> None:
-        s = float(self.support_bound)
-        if not (math.isfinite(s) and s > 0.0):
-            raise DomainError(f"support_bound must be a positive finite real, got {s!r}")
+        s = _require_positive("support_bound", self.support_bound)
         object.__setattr__(self, "support_bound", s)
         for u in np.linspace(s, 2.0 * s, 9):
             if self.evaluator(float(u)) != 0.0:
@@ -91,9 +90,7 @@ class TestFunction:
 
 def bump(S, amplitude=1.0) -> TestFunction:
     """The standard smooth bump amplitude * exp(-1/(1 - (u/S)^2)) on [0, S)."""
-    S = float(S)
-    if not (math.isfinite(S) and S > 0.0):
-        raise DomainError(f"S must be a positive finite real, got {S!r}")
+    S = _require_positive("S", S)
     amplitude = float(amplitude)
 
     def phi(u):
@@ -154,8 +151,9 @@ class TransformProfile:
     ``ladder_series`` are g, g', ..., g^(6) (derivatives in u) as full
     Chebyshev series in T_k(u/L), k = 0..254, for the geometric side. ``h``
     is the cosine transform of g by a fixed rule, accurate to about 1e-12
-    absolute while r * g_support stays below about 1300 (the rule aliases
-    past that), and ``h_batch`` is the same map over float arrays.
+    absolute while |r| * g_support stays at or below 1300; past that the rule
+    aliases, so both raise DomainError. ``h_batch`` is the same map over
+    float arrays.
     """
 
     g: Callable
@@ -211,6 +209,9 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
     def h_batch(r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
         flat = r.ravel()
+        if flat.size and not float(flat.max()) * L <= _H_REACH:
+            raise DomainError(f"h needs |r| * g_support <= {_H_REACH:g}, got |r| = "
+                              f"{float(flat.max())!r} with g_support = {L!r}")
         out = np.empty(flat.size)
         # blocked to bound the temporaries
         for blk in range(0, flat.size, 256):
@@ -277,23 +278,6 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     return CertifiedValue(value, radius)
 
 
-def _csch_derivatives(t: float, u: float) -> np.ndarray:
-    """h, h', ..., h^(5) of h(x) = t/sinh(x t/2) at x = u/t.
-
-    With w = (t/2) coth(u/2) and v = t^2/4 they are h times 1, -w,
-    2w^2 - v, -w (6w^2 - 5v), 24w^4 - 28w^2 v + 5v^2 and
-    -w (120w^4 - 180w^2 v + 61v^2); h is completely monotone, so their
-    signs alternate.
-    """
-    h = t / _sinh_half(u)
-    w = 0.5 * t / math.tanh(0.5 * u)
-    v = 0.25 * t * t
-    w2 = w * w
-    return h * np.array([1.0, -w, 2.0 * w2 - v, -w * (6.0 * w2 - 5.0 * v),
-                         (24.0 * w2 - 28.0 * v) * w2 + 5.0 * v * v,
-                         -w * ((120.0 * w2 - 180.0 * v) * w2 + 61.0 * v * v)])
-
-
 def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> CertifiedValue:
     """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2).
 
@@ -343,14 +327,14 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
         # the endpoint terms f/2, -+ f'/12 and +- f3/720 at a (sign 1) and b (sign -1)
         for end, u_end, sign in ((ends[0], lo, 1.0), (ends[1], hi, -1.0)):
             g_, g1, g2, g3 = end[:4]
-            h = _csch_derivatives(t, u_end)
+            h = _weight_derivatives(t, u_end)
             parts += [0.5 * g_ * h[0],
                       -sign * (t * g1 * h[0] + g_ * h[1]) / 12.0,
                       sign * (t**3 * g3 * h[0] + 3.0 * t * t * g2 * h[1] + 3.0 * t * g1 * h[2]
                               + g_ * h[3]) / 720.0]
         value = head + math.fsum(parts) + math.fsum(rest.tolist())
         sups = np.sum(np.abs(profile.ladder_series), axis=0)
-        h_a = np.abs(_csch_derivatives(t, lo))
+        h_a = np.abs(_weight_derivatives(t, lo))
         leibniz = sum(math.comb(6, i) * t**i * sups[i] * h_a[5 - i] for i in range(6))
         leibniz += t**6 * sups[6] * 2.0 * (_log_tanh(0.25 * hi) - _log_tanh(0.25 * lo))
         remainder = leibniz / 15120.0  # 2 |B_6|/6! = 1/15120
@@ -364,39 +348,27 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
         value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value))
 
 
-def geometric_side(spectrum, g) -> CertifiedValue:
+def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     """Length-spectrum side: sum of multiplicity * primitive_length /
-    (2 sinh(length/2)) * g(length).
+    (2 sinh(length/2)) * g(length), with g the kernel of ``profile``.
 
-    ``g`` may be a TransformProfile or a bare kernel callable; a pinch
-    ladder needs a profile, and takes one route at any length: the first
-    1024 rungs term by term, the rest by Euler-Maclaurin on the kernel
-    series. With a profile, the radius charges ``kernel_error`` times the
-    summed weights on either route. The Euler-Maclaurin remainder is a
-    proven bound for the series kernel; the kernel error and the roundoff
-    (a few ulp per computed term) are estimates.
+    A pinch ladder takes one route at any length: the first 1024 rungs term
+    by term, the rest by Euler-Maclaurin on the kernel series; a list of
+    classes is summed term by term. Either radius charges ``kernel_error``
+    times the summed weights. The Euler-Maclaurin remainder is a proven
+    bound for the series kernel; the kernel error and the roundoff (a few
+    ulp per computed term) are estimates.
     """
-    if isinstance(g, TransformProfile):
-        kernel = g.g
-        profile = g
-    else:
-        if not callable(g):
-            raise DomainError(f"g must be a TransformProfile or callable, got {g!r}")
-        kernel = g
-        profile = None
+    if not isinstance(profile, TransformProfile):
+        raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
     if isinstance(spectrum, PinchLadder):
-        if profile is None:
-            raise DomainError(
-                "summing a pinch ladder needs a TransformProfile for its support data"
-            )
         return _ladder_geometric(spectrum, profile)
     weighted = [(cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length)),
                  cls.length) for cls in spectrum]
-    terms = [w * kernel(length) for w, length in weighted]
+    terms = [w * profile.g(length) for w, length in weighted]
     value = math.fsum(terms)
-    radius = 3e-16 * math.fsum(abs(x) for x in terms)
-    if profile is not None:
-        radius += profile.kernel_error * math.fsum(w for w, _ in weighted)
+    radius = (3e-16 * math.fsum(abs(x) for x in terms)
+              + profile.kernel_error * math.fsum(w for w, _ in weighted))
     return CertifiedValue(value, radius)
 
 

@@ -131,3 +131,9 @@ def test_search_size_estimate_grows():
     small = search_size_estimate(3, 90)
     big = search_size_estimate(3, 900)
     assert 0 < small < big
+
+
+def test_search_size_estimate_rejects_bad_levels():
+    for bad in (0, -3, 2):
+        with pytest.raises(DomainError):
+            search_size_estimate(bad, 10)

@@ -121,6 +121,12 @@ def test_thin_part_bound():
     assert total <= thin_part_upper_bound(len(lengths), r) * (1.0 + 1e-14)
 
 
+def test_thin_part_bound_rejects_non_integers():
+    for bad in (True, 2.5):
+        with pytest.raises(DomainError):
+            thin_part_upper_bound(bad, 1.0)
+
+
 def test_injrad_on_the_geodesic():
     for l in (1e-7, 0.3, 2.0, 40.0):
         assert rel(injrad_from_collar(l, 0.0), 0.5 * l) <= 1e-13

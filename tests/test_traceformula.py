@@ -223,6 +223,17 @@ def test_h_batch_matches_scalar(profile1):
         assert v == pytest.approx(profile1.h(float(r)), rel=1e-12, abs=1e-15)
 
 
+def test_h_refuses_aliased_reach(profile1):
+    # the 384-point cosine rule aliases once r * g_support passes about 1370;
+    # at r = 2000 it returned -2.9e-2 where the transform is about -2e-10
+    with pytest.raises(DomainError):
+        profile1.h(2000.0)
+    with pytest.raises(DomainError):
+        profile1.h_batch(np.array([1.0, -2000.0]))
+    edge = 1300.0 / profile1.g_support
+    assert abs(profile1.h(edge)) <= 1e-9
+
+
 def test_h_bounded_by_l1(profile1):
     mass, _ = quad(lambda u: abs(profile1.g(u)), 0.0, profile1.g_support,
                    epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -263,18 +274,32 @@ def test_spectral_integral_encloses_phi0(S):
     assert abs(float(value) - math.exp(-1.0)) <= value.radius <= 1e-9
 
 
+@pytest.mark.parametrize("S", [64.0, 1e3, 1e6])
+def test_spectral_integral_encloses_phi0_large_support(S):
+    value = plancherel_integral(transform_profile(bump(S)))
+    assert abs(float(value) - math.exp(-1.0)) <= value.radius <= 1e-4
+
+
+def test_spectral_integral_refuses_aliased_support():
+    # g_support = 115.1 puts r = 14 past the reach of h
+    with pytest.raises(DomainError):
+        plancherel_integral(transform_profile(bump(1e50)))
+
+
 # ---------------------------------------------------------------- geometric side
 
-def test_geometric_side_empty():
-    val = geometric_side([], lambda r: 1.0)
-    assert float(val) == 0.0
+def test_geometric_side_empty(profile1):
+    val = geometric_side([], profile1)
+    assert float(val) == 0.0 and val.radius == 0.0
 
 
-def test_geometric_side_single_class():
-    cls = GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=1)
-    val = geometric_side([cls], lambda r: 1.0)
-    ref = float(1 / (2 * mp.sinh(mp.mpf("0.5"))))
-    assert float(val) == pytest.approx(ref, rel=1e-14)
+def test_geometric_side_single_class(profile1):
+    # length 0.5 lies inside the support L = 0.962, where g does not vanish
+    cls = GeodesicClass(length=0.5, primitive_length=0.5, multiplicity=1)
+    val = geometric_side([cls], profile1)
+    w = float(mp.mpf("0.5") / (2 * mp.sinh(mp.mpf("0.25"))))
+    assert float(val) == pytest.approx(w * profile1.g(0.5), rel=1e-14)
+    assert val.radius >= profile1.kernel_error * w
 
 
 def test_geometric_side_list_against_fsum(profile1):
@@ -351,8 +376,27 @@ def test_geometric_side_huge_ladder_is_cheap(profile1):
 
 
 def test_geometric_side_ladder_needs_profile():
-    with pytest.raises(DomainError):
-        geometric_side(pinch_ladder(1e-7, 1.0, 2), lambda r: 1.0)
+    # a bare kernel callable is refused for a ladder and for a class list alike
+    cls = GeodesicClass(length=0.5, primitive_length=0.5, multiplicity=1)
+    for spectrum in (pinch_ladder(1e-7, 1.0, 2), [cls]):
+        with pytest.raises(DomainError):
+            geometric_side(spectrum, lambda r: 1.0)
+
+
+@pytest.mark.parametrize("rungs", [1100, 200_000])
+@pytest.mark.parametrize("S", [64.0, 1e4, 1e6])
+def test_geometric_side_large_support_against_direct_sum(S, rungs):
+    # every rung of the same series kernel, summed directly; the kernel
+    # charge is left out of the radius, since both sides share the kernel
+    profile = transform_profile(bump(S))
+    L = profile.g_support
+    ladder = pinch_ladder(L / rungs, L, 12)
+    side = geometric_side(ladder, profile)
+    t = ladder.pinch_length
+    u = np.arange(1.0, ladder.count + 1.0) * t
+    direct = 6.0 * math.fsum((t * profile.g(u) / np.sinh(0.5 * u)).tolist())
+    kernel_charge = 0.5 * profile.kernel_error * float(plancherel_sum(ladder, L))
+    assert abs(float(side) - direct) <= side.radius - kernel_charge
 
 
 # ---------------------------------------------------------------- series
