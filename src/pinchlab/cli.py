@@ -30,7 +30,7 @@ from .convergence import Schedule, classify_schedule
 from .errors import PinchlabError
 from .traceformula import bump, plancherel_integral, transform_profile
 
-_SEARCH_CAP = 10**10  # refuse systole searches projected beyond this many candidates
+_SEARCH_CAP = 10**7  # refuse systole walks projected beyond this many (trace, a) pairs, ~3 s
 
 
 class _UsageError(Exception):

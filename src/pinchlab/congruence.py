@@ -2,8 +2,8 @@
 
 Index, genus, cusp count, and area of the level-N surface are computed in
 exact rational arithmetic; floating point enters only through the systole
-length and the area. A pruned exhaustive search acts as a falsifier for the
-systole trace within an entry-bounded box.
+length and the area. An exhaustive walk over the traces, linear in the entry
+bound, acts as a falsifier for the systole trace within an entry-bounded box.
 """
 
 from __future__ import annotations
@@ -124,48 +124,60 @@ def witness_matrix(level) -> IntegerMatrix2:
     return IntegerMatrix2(a=1 - n * n, b=n, c=-n, d=1)
 
 
-def search_size_estimate(level, entry_bound) -> int:
-    """Number of (a, b, d) candidates the minimal-trace search will visit."""
-    n = _as_level(level)
-    bound = _as_int("entry_bound", entry_bound)
-    a_count = len(range(-bound + ((1 + bound) % n), bound + 1, n))
-    inner = 0
-    for b in range(n, bound + 1, n):
-        inner += 2 * bound // b + 1
-    return a_count * inner
-
-
-def min_hyperbolic_trace(level, entry_bound) -> int | None:
-    """Minimal |trace| > 2 over level-N matrices with entries bounded by
-    ``entry_bound``, by pruned exhaustive enumeration.
-
-    Iterates a = 1 and b = 0 (mod N) with b > 0, solves d from the
-    determinant congruence, and derives c exactly; b < 0 is covered because
-    inversion flips b's sign while preserving |trace| and the entry box.
-    Returns None only if no hyperbolic element lies in the box, which cannot
-    happen when the precondition entry_bound >= N^2 holds.
-    """
+def _require_box(level, entry_bound) -> tuple[int, int]:
+    """Level N >= 3 and entry bound B >= N^2, so the witness lies in the box."""
     n = _as_level(level)
     bound = _as_int("entry_bound", entry_bound)
     if bound < n * n:
         raise DomainError(
             f"entry_bound must be >= N^2 = {n * n} so the witness lies in the box, got {bound}"
         )
-    best: int | None = None
-    a_first = -bound + ((1 + bound) % n)
-    for a in range(a_first, bound + 1, n):
-        for b in range(n, bound + 1, n):
-            if math.gcd(a, b) != 1:
-                continue  # det 1 forces gcd(a, b) = 1
-            d0 = pow(a, -1, b)
-            d_first = -bound + ((d0 + bound) % b)
-            for d in range(d_first, bound + 1, b):
-                s = abs(a + d)
-                if s <= 2:
-                    continue
-                if best is not None and s >= best:
-                    continue
-                c = (a * d - 1) // b  # exact: ad = 1 (mod b) by construction
-                if c % n == 0 and -bound <= c <= bound:
-                    best = s
-    return best
+    return n, bound
+
+
+def _walk_traces(n: int) -> list[int]:
+    """Traces tr = 2 (mod N) with 3 <= |tr| <= N^2 - 2, by increasing |tr|."""
+    return sorted((tr for tr in range(2 - n * n, n * n - 1, n) if abs(tr) >= 3), key=abs)
+
+
+def _diagonal_entries(n: int, bound: int, tr: int) -> range:
+    """Every a = 1 (mod N) with |a| <= B and |tr - a| <= B."""
+    low, high = max(-bound, tr - bound), min(bound, tr + bound)
+    return range(low + (1 - low) % n, high + 1, n)
+
+
+def search_size_estimate(level, entry_bound) -> int:
+    """Number of (trace, a) pairs the minimal-trace walk visits when it runs
+    to its last trace N^2 - 2: an upper bound on its work, linear in B.
+    Closed form per trace, so the cost is O(N) whatever the box."""
+    n, bound = _require_box(level, entry_bound)
+    return sum(len(_diagonal_entries(n, bound, tr)) for tr in _walk_traces(n))
+
+
+def min_hyperbolic_trace(level, entry_bound) -> int | None:
+    """Minimal |trace| > 2 over level-N matrices with entries bounded by
+    ``entry_bound``, by an exhaustive walk over the traces.
+
+    Walks tr = 2 (mod N) by increasing |tr| from 3 to N^2 - 2, both signs.
+    For each trace it visits every a = 1 (mod N) with d = tr - a in the box,
+    and keeps a only if N^2 divides ad - 1, as it must when N | b and N | c.
+    Then bc = ad - 1 with b = Nx and c = Ny asks for xy = m = (ad - 1)/N^2;
+    the pair fits the box iff |m| has a divisor x with ceil(|m|/K) <= x <=
+    min(K, isqrt|m|), K = floor(B/N) (x <= |y| up to swapping b and c, whose
+    signs are free). The first hit is the minimum. The cost is linear in B:
+    about 4B pairs, as ``search_size_estimate`` counts. Returns None only if
+    nothing hits by |tr| = N^2 - 2, which cannot happen when the
+    precondition entry_bound >= N^2 holds, since the witness lies in the box.
+    """
+    n, bound = _require_box(level, entry_bound)
+    k = bound // n
+    nn = n * n
+    for tr in _walk_traces(n):
+        for a in _diagonal_entries(n, bound, tr):
+            num = a * (tr - a) - 1
+            if num % nn:
+                continue
+            m = abs(num) // nn
+            if m and any(m % x == 0 for x in range(-(-m // k), min(k, math.isqrt(m)) + 1)):
+                return abs(tr)
+    return None

@@ -2,7 +2,7 @@
 
 Every public call checks its arguments through the validators here:
 ``_require_positive`` for positive finite reals (lengths, radii, supports),
-``_as_int`` for integers (bools refused) and ``_as_level`` for torsion-free
+``_as_int`` for integers (bools, NaN and infinities refused) and ``_as_level`` for torsion-free
 levels N >= 3. Rules that hold for one call only stay with that call.
 """
 
@@ -37,9 +37,13 @@ def _require_positive(name: str, x) -> float:
 
 
 def _as_int(name: str, x) -> int:
-    if isinstance(x, bool) or int(x) != x:
+    try:
+        n = int(x)  # NaN raises ValueError, an infinity OverflowError
+    except (ValueError, OverflowError):
+        n = None
+    if isinstance(x, bool) or n is None or n != x:
         raise DomainError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    return n
 
 
 def _as_level(level) -> int:

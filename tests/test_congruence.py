@@ -14,6 +14,7 @@ from pinchlab import (
     surface_data,
     witness_matrix,
 )
+from pinchlab.cli import _SEARCH_CAP
 
 mp.mp.dps = 50
 
@@ -113,8 +114,53 @@ def _brute_force_min_trace(n, bound):
     return best
 
 
+def _box_enumeration_min_trace(n, bound):
+    """The (a, b, d) enumeration over the whole box that the trace walk
+    replaced: a = 1 and b = 0 (mod N) with b > 0, d solved from the
+    determinant congruence, c derived exactly. b < 0 is covered because
+    inversion flips b's sign while preserving |trace| and the box."""
+    best = None
+    a_first = -bound + ((1 + bound) % n)
+    for a in range(a_first, bound + 1, n):
+        for b in range(n, bound + 1, n):
+            if math.gcd(a, b) != 1:
+                continue  # det 1 forces gcd(a, b) = 1
+            d0 = pow(a, -1, b)
+            d_first = -bound + ((d0 + bound) % b)
+            for d in range(d_first, bound + 1, b):
+                s = abs(a + d)
+                if s <= 2 or (best is not None and s >= best):
+                    continue
+                c = (a * d - 1) // b
+                if c % n == 0 and -bound <= c <= bound:
+                    best = s
+    return best
+
+
+def _brute_force_pair_count(n, bound):
+    """(trace, a) pairs of the full walk: traces tr = 2 (mod N) with
+    3 <= |tr| <= N^2 - 2, and a = 1 (mod N) with |a| <= B and |tr - a| <= B."""
+    count = 0
+    for tr in range(-(n * n - 2), n * n - 1):
+        if abs(tr) < 3 or (tr - 2) % n:
+            continue
+        for a in range(-bound, bound + 1):
+            if (a - 1) % n == 0 and abs(tr - a) <= bound:
+                count += 1
+    return count
+
+
 def test_min_trace_against_brute_force():
     assert min_hyperbolic_trace(3, 15) == _brute_force_min_trace(3, 15) == 7
+    for n in (3, 4, 5):
+        for bound in range(n * n, 2 * n * n + 1, max(1, n // 2)):
+            assert min_hyperbolic_trace(n, bound) == _brute_force_min_trace(n, bound), (n, bound)
+
+
+@pytest.mark.parametrize("n,bound", [(3, 1000), (4, 1200), (5, 2000), (6, 500), (7, 2000),
+                                     (9, 400), (11, 1000), (12, 700)])
+def test_min_trace_walk_matches_box_enumeration(n, bound):
+    assert min_hyperbolic_trace(n, bound) == _box_enumeration_min_trace(n, bound)
 
 
 @pytest.mark.parametrize("n,expected", [(3, 7), (4, 14), (5, 23)])
@@ -122,9 +168,20 @@ def test_min_trace_known_values(n, expected):
     assert min_hyperbolic_trace(n, 10 * n * n) == expected
 
 
+def test_min_trace_large_box():
+    # 1.35e8 candidates for the box enumeration; 3.6e4 pairs for the walk
+    assert min_hyperbolic_trace(5, 10**4) == 23
+
+
 def test_min_trace_requires_room():
     with pytest.raises(DomainError):
         min_hyperbolic_trace(5, 24)
+
+
+@pytest.mark.parametrize("n,bound", [(3, 9), (3, 40), (4, 16), (4, 57), (5, 25), (5, 90),
+                                     (7, 49), (7, 300), (10, 100), (10, 333)])
+def test_search_size_estimate_counts_walk_pairs(n, bound):
+    assert search_size_estimate(n, bound) == _brute_force_pair_count(n, bound)
 
 
 def test_search_size_estimate_grows():
@@ -137,3 +194,16 @@ def test_search_size_estimate_rejects_bad_levels():
     for bad in (0, -3, 2):
         with pytest.raises(DomainError):
             search_size_estimate(bad, 10)
+
+
+def test_search_size_estimate_rejects_small_bounds():
+    for n in (3, 5, 8):
+        for bad in (-5, 0, n * n - 1):
+            with pytest.raises(DomainError):
+                search_size_estimate(n, bad)
+
+
+def test_search_cap_refuses_oversized_and_admits_benchmark_boxes():
+    assert search_size_estimate(200, 4 * 10**6) > _SEARCH_CAP
+    for n, bound in ((3, 1500), (5, 3000), (7, 4500)):
+        assert search_size_estimate(n, bound) <= _SEARCH_CAP
