@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ _GEO_HEAD = 1024  # rungs of a geometric side summed term by term before Euler-M
 _GEO_GAUSS = 128  # Gauss-Legendre nodes of the tail integral; exact to degree 255
 _R_SPLIT = 14.0  # 2r/(e^(2 pi r) + 1) is below 1e-36 past here
 _H_REACH = 1300.0  # largest r * g_support for h; the 384-point rule aliases from about 1370
+_BLOCK = 1 << 14  # kernel points per profile.g call when vanishing_series batches ladders
 
 # The positive half of the 2 * _TERMS Chebyshev points of the first kind, and
 # the matrix taking g there to the even coefficients (a cosine transform; the
@@ -164,6 +165,16 @@ class TransformProfile:
     ladder_series: np.ndarray
     h_batch: Callable[[np.ndarray], np.ndarray]
 
+    @cached_property
+    def _g0(self) -> float:
+        """g(0), the series at x = 0."""
+        return float(_SIGNS @ self.coefficients)
+
+    @cached_property
+    def _series_sups(self) -> np.ndarray:
+        """Bounds on |g|, |g'|, ..., |g^(6)|: the coefficient sums of their series."""
+        return np.sum(np.abs(self.ladder_series), axis=0)
+
 
 def transform_profile(phi: TestFunction) -> TransformProfile:
     """Evaluate g once on 128 Chebyshev points of [0, L] and package the
@@ -278,8 +289,37 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     return CertifiedValue(value, radius)
 
 
-def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> CertifiedValue:
-    """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2).
+class _KernelPoints(NamedTuple):
+    """Where a ladder's geometric side reads the kernel: ``points`` holds the
+    head rungs k t, k = 1..min(n_eff, _GEO_HEAD), then, when n_eff passes
+    the head, the Gauss-Legendre nodes of the tail integral over [lo, hi]."""
+
+    ladder: PinchLadder
+    n_eff: int
+    lo: float
+    hi: float
+    points: np.ndarray
+
+
+def _kernel_points(ladder: PinchLadder, L: float) -> _KernelPoints:
+    """The kernel points of a ladder against a kernel of support L; none
+    when no rung lies inside the support."""
+    t = ladder.pinch_length
+    n_eff = min(ladder.count, _ladder_count(t, L))
+    points = np.arange(1.0, min(n_eff, _GEO_HEAD) + 1.0) * t
+    lo = hi = 0.0
+    if n_eff > _GEO_HEAD:
+        # the last rung may pass L by the cutoff grace; g vanishes there
+        lo, hi = min((_GEO_HEAD + 1) * t, L), min(_rung_length(t, n_eff), L)
+        x, _ = _gauss_legendre(_GEO_GAUSS)
+        points = np.concatenate([points, lo + 0.5 * (hi - lo) * (x + 1.0)])
+    return _KernelPoints(ladder, n_eff, lo, hi, points)
+
+
+def _ladder_geometric(kp: _KernelPoints, kernel_values: np.ndarray,
+                      profile: TransformProfile) -> CertifiedValue:
+    """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2),
+    from the kernel values at the ladder's kernel points.
 
     The first _GEO_HEAD rungs are summed term by term; the rest, k = a..b,
     follow Euler-Maclaurin to order 6 (DLMF 2.10.1) for f(x) = g(x t) h(x),
@@ -293,23 +333,14 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
     t^6 G_6 int h, since h is completely monotone; G_i bounds |g^(i)| by the
     coefficient sum of its series, as |T_k| <= 1.
     """
+    ladder, n_eff, lo, hi, points = kp
+    if n_eff == 0:
+        return CertifiedValue(0.0, 0.0)
     t = ladder.pinch_length
     mult = ladder.multiplicity
     L = profile.g_support
-    n_eff = min(ladder.count, _ladder_count(t, L))
-    if n_eff == 0:
-        return CertifiedValue(0.0, 0.0)
     n_head = min(n_eff, _GEO_HEAD)
     k = np.arange(1.0, n_head + 1.0)
-    points = k * t
-    if n_eff > _GEO_HEAD:
-        a, b = _GEO_HEAD + 1, n_eff
-        # the last rung may pass L by the cutoff grace; g vanishes there
-        lo, hi = min(a * t, L), min(_rung_length(t, b), L)
-        x, w = _gauss_legendre(_GEO_GAUSS)
-        u = lo + 0.5 * (hi - lo) * (x + 1.0)
-        points = np.concatenate([points, u])
-    kernel_values = profile.g(points)
     head_terms = _rung_weights(t, k) * kernel_values[:n_head]
     head = math.fsum(head_terms.tolist())
     # a few ulp per term, plus the rounding of y = k t/2 in the weight
@@ -317,10 +348,13 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
                        + 0.5 * t * float(np.dot(np.abs(head_terms), k)))
     value, remainder = head, 0.0
     if n_eff > _GEO_HEAD:
-        g0 = float(_SIGNS @ profile.coefficients)
+        a, b = _GEO_HEAD + 1, n_eff
+        g0 = profile._g0
         log_ratio = math.log(b / a) if hi < L else math.log(L / lo)
         ends = np.cos(np.outer(np.arccos([lo / L, hi / L]), _ORDERS)) @ profile.ladder_series
+        _, w = _gauss_legendre(_GEO_GAUSS)
         w = 0.5 * (hi - lo) * w
+        u = points[n_head:]
         g_rule, csch_rule = kernel_values[n_head:], 1.0 / np.sinh(0.5 * u)
         rest = w * (g_rule * csch_rule - 2.0 * g0 / u)
         parts = [2.0 * g0 * log_ratio]
@@ -333,7 +367,7 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
                       sign * (t**3 * g3 * h[0] + 3.0 * t * t * g2 * h[1] + 3.0 * t * g1 * h[2]
                               + g_ * h[3]) / 720.0]
         value = head + math.fsum(parts) + math.fsum(rest.tolist())
-        sups = np.sum(np.abs(profile.ladder_series), axis=0)
+        sups = profile._series_sups
         h_a = np.abs(_weight_derivatives(t, lo))
         leibniz = sum(math.comb(6, i) * t**i * sups[i] * h_a[5 - i] for i in range(6))
         leibniz += t**6 * sups[6] * 2.0 * (_log_tanh(0.25 * hi) - _log_tanh(0.25 * lo))
@@ -346,6 +380,31 @@ def _ladder_geometric(ladder: PinchLadder, profile: TransformProfile) -> Certifi
     value *= 0.5 * mult
     return CertifiedValue(
         value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value))
+
+
+def _ladder_sides(ladders, profile: TransformProfile) -> list[CertifiedValue]:
+    """The geometric side of each ladder, in order. The kernel points of
+    consecutive ladders are gathered until about _BLOCK of them, and each
+    block takes one ``profile.g`` call: g is elementwise, so every value is
+    the one a call per ladder gives, without the fixed cost of a call per
+    ladder."""
+    sides, block, size = [], [], 0
+    for i, ladder in enumerate(ladders, 1):
+        kp = _kernel_points(ladder, profile.g_support)
+        block.append(kp)
+        size += kp.points.size
+        if size >= _BLOCK or i == len(ladders):
+            # a block of ladders with no rung inside the support skips the call
+            values = np.empty(0)
+            if size:
+                values = profile.g(np.concatenate([b.points for b in block]))
+            start = 0
+            for b in block:
+                stop = start + b.points.size
+                sides.append(_ladder_geometric(b, values[start:stop], profile))
+                start = stop
+            block, size = [], 0
+    return sides
 
 
 def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
@@ -362,13 +421,17 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
     if isinstance(spectrum, PinchLadder):
-        return _ladder_geometric(spectrum, profile)
-    weighted = [(cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length)),
-                 cls.length) for cls in spectrum]
-    terms = [w * profile.g(length) for w, length in weighted]
+        return _ladder_sides([spectrum], profile)[0]
+    classes = list(spectrum)
+    if not classes:
+        return CertifiedValue(0.0, 0.0)
+    weights = [cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
+               for cls in classes]
+    kernel_values = profile.g(np.array([cls.length for cls in classes], dtype=float))
+    terms = [w * g for w, g in zip(weights, kernel_values.tolist())]
     value = math.fsum(terms)
     radius = (3e-16 * math.fsum(abs(x) for x in terms)
-              + profile.kernel_error * math.fsum(w for w, _ in weighted))
+              + profile.kernel_error * math.fsum(weights))
     return CertifiedValue(value, radius)
 
 
@@ -396,15 +459,16 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     profile = transform_profile(phi)
     radius = profile.g_support
+    entries = [(j, schedule.levels[j - 1], schedule.pinch_lengths[j - 1])
+               for j in range(1, min(j_max, len(schedule.levels)) + 1)]
+    valid = [validity_check(level, t, radius) for _, level, t in entries]
+    sides = iter(_ladder_sides([short_spectrum(level, t, radius)
+                                for (_, level, t), ok in zip(entries, valid) if ok], profile))
     rows = []
-    for j in range(1, min(j_max, len(schedule.levels)) + 1):
-        level = schedule.levels[j - 1]
-        t = schedule.pinch_lengths[j - 1]
-        if validity_check(level, t, radius):
-            ladder = short_spectrum(level, t, radius)
-            side = geometric_side(ladder, profile)
+    for (j, level, t), ok in zip(entries, valid):
+        if ok:
             volume = compacted_surface(level, t).volume
-            rows.append(VanishingRow(j, level, t, float(side) / volume, True))
+            rows.append(VanishingRow(j, level, t, float(next(sides)) / volume, True))
         else:
             rows.append(VanishingRow(j, level, t, math.nan, False))
     return rows

@@ -16,9 +16,12 @@ from pinchlab import (
     pinch_ladder,
     plancherel_integral,
     plancherel_sum,
+    short_spectrum,
     transform_profile,
+    validity_check,
     vanishing_series,
 )
+from pinchlab.traceformula import _BLOCK, _even_series, _kernel_points
 
 mp.mp.dps = 50
 
@@ -196,6 +199,21 @@ def test_profile_metadata(profile1):
 
 # ---------------------------------------------------------------- h
 
+def test_even_series_is_elementwise(profile1):
+    # batching kernel points across ladders relies on this: the series on a
+    # concatenation is the concatenation of the series on each piece
+    rng = np.random.default_rng(11)
+    pieces = [rng.uniform(0.0, 1.0, n) for n in (0, 1, 7, 1152, 20000)]
+    whole = _even_series(profile1.coefficients, np.concatenate(pieces))
+    parts = [_even_series(profile1.coefficients, piece) for piece in pieces]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+    for i in (0, 5, 1000):
+        for x in (pieces[3][i], np.asarray(pieces[3][i])):
+            single = _even_series(profile1.coefficients, x)
+            assert np.ndim(single) == 0
+            assert float(single).hex() == float(parts[3][i]).hex()
+
+
 def test_h_at_zero_is_g_mass(profile1):
     ref, _ = quad(profile1.g, 0.0, profile1.g_support, epsabs=1e-13, epsrel=1e-13)
     assert abs(profile1.h(0.0) - 2.0 * ref) <= 1e-12
@@ -327,6 +345,24 @@ def test_geometric_side_ladder_matches_list(profile1):
     assert slow.radius >= profile1.kernel_error * weights
 
 
+def test_geometric_side_class_list_is_one_array_call(profile1):
+    # the t = 1e-3 ladder as 962 classes: one array call on the lengths gives
+    # the value and the radius of one scalar kernel call per class, bit for bit
+    ladder = pinch_ladder(1e-3, profile1.g_support, 12)
+    classes = list(ladder)
+    assert len(classes) == 962
+    side = geometric_side(classes, profile1)
+    weighted = [(c.multiplicity * c.primitive_length / (2.0 * math.sinh(0.5 * c.length)),
+                 c.length) for c in classes]
+    terms = [w * profile1.g(length) for w, length in weighted]
+    radius = (3e-16 * math.fsum(abs(x) for x in terms)
+              + profile1.kernel_error * math.fsum(w for w, _ in weighted))
+    assert float(side) == math.fsum(terms)
+    assert side.radius == radius
+    ref = reference_geometric(1.0, 1e-3, ladder.count, 12)
+    assert abs(float(side) - ref) <= side.radius
+
+
 @pytest.fixture(scope="module")
 def grid_profiles():
     return {S: transform_profile(bump(S)) for S in (0.25, 0.75, 1.0, 4.0, 8.0)}
@@ -434,6 +470,62 @@ def test_vanishing_series_superexponential():
         ref = reference_geometric(1.0, row.pinch, count, pairs)
         volume = compacted_surface(row.level, row.pinch).volume
         assert row.normalized == pytest.approx(ref / volume, rel=1e-12)
+
+
+def _per_row(schedule, phi, j_max):
+    """vanishing_series one row at a time, through geometric_side."""
+    profile = transform_profile(phi)
+    L = profile.g_support
+    rows = []
+    for level, t in list(zip(schedule.levels, schedule.pinch_lengths))[:j_max]:
+        if not validity_check(level, t, L):
+            rows.append(math.nan)
+            continue
+        side = geometric_side(short_spectrum(level, t, L), profile)
+        rows.append(float(side) / compacted_surface(level, t).volume)
+    return rows
+
+
+def _kernel_point_count(schedule, S):
+    L = transform_profile(bump(S)).g_support
+    return sum(_kernel_points(short_spectrum(level, t, L), L).points.size
+               for level, t in zip(schedule.levels, schedule.pinch_lengths)
+               if validity_check(level, t, L))
+
+
+def test_vanishing_series_batches_match_per_row_blocks():
+    # about 77k kernel points, so the rows span several blocks
+    sched = Schedule.from_rule("recip", range(3, 401), "reciprocal")
+    assert _kernel_point_count(sched, 1.0) > 2 * _BLOCK
+    rows = vanishing_series(sched, bump(1.0), 1000)
+    assert [row.normalized.hex() for row in rows] == [
+        v.hex() for v in _per_row(sched, bump(1.0), 1000)]
+
+
+def test_vanishing_series_batches_match_per_row_empty_ladder():
+    # at S = 0.1 the support L = 0.315 ends below the first rung of level 3
+    sched = Schedule.from_rule("recip", range(3, 60), "reciprocal")
+    L = transform_profile(bump(0.1)).g_support
+    assert short_spectrum(3, 1.0 / 3.0, L).count == 0
+    rows = vanishing_series(sched, bump(0.1), 100)
+    assert rows[0].valid and rows[0].normalized == 0.0
+    assert [row.normalized.hex() for row in rows] == [
+        v.hex() for v in _per_row(sched, bump(0.1), 100)]
+
+
+def test_vanishing_series_batches_match_per_row_invalid_rows():
+    # the validity floor only grows along a schedule (levels rise, pinch
+    # lengths do not), so invalid rows lead; a wide support makes five of
+    # them, and the valid rows behind them span several blocks and end on a
+    # partial one
+    phi = bump(2.0 * math.cosh(3.2) - 2.0)
+    pinches = [0.45] * 4 + [0.45 * 0.75**j for j in range(53)]
+    sched = Schedule.explicit("wide", range(3, 3 + len(pinches)), pinches)
+    assert _kernel_point_count(sched, phi.support_bound) > 2 * _BLOCK
+    rows = vanishing_series(sched, phi, 1000)
+    assert [row.valid for row in rows] == [False] * 5 + [True] * 52
+    assert [row.normalized.hex() for row in rows] == [
+        v.hex() for v in _per_row(sched, phi, 1000)]
 
 
 def test_vanishing_series_respects_j_max():
