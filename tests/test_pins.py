@@ -1,0 +1,81 @@
+"""Regression pins: the bytes of the ``schedule`` CSV and the bits of
+``plancherel_sum``, recorded from the code as it stood before the ladder
+sums were shared with the geometric side. A change that moves any of them
+must say why."""
+
+import hashlib
+import json
+import math
+
+import pytest
+
+from pinchlab import pinch_ladder, plancherel_sum
+from pinchlab.cli import main
+
+# sha256 of the CSV of ``schedule`` over levels 3..stop, keyed by (rule, stop, radius)
+SCHEDULE_CSV_SHA256 = {
+    ("reciprocal", 400, 0.5): "4f9f8cb979d0ecd02d102e84150016b3e5e63308ec963d5257f1e610413caba3",
+    ("reciprocal", 400, 1.0): "13242c79eecaa85eb969a67b52890882c18522279a16c93c7eb4468da5699ed5",
+    ("reciprocal", 400, 2.0): "68a17b7ecb3c90ce98dd5cc8faa211d7a4f40fe066ad57558e297c534b1b35a5",
+    ("exponential", 20, 0.5): "4c751bcc4581fb4a04f9fdaf005c91bbe0f7aeee64a06f0240040815a08e7322",
+    ("exponential", 20, 1.0): "3db86678452f028bd99b19947fef640fc08f00e9cb688499b6082254f17a37ef",
+    ("exponential", 20, 2.0): "ad4e2f9c3ab333306ac14e1b728a41e95c7391b0ba57149d66b252ace2777a49",
+    ("superexponential", 10, 0.5): "a788624a03762b985c96308c8837956b213e9a79b78507812e9d408767d5bd52",
+    ("superexponential", 10, 1.0): "982fe69b7afad561d08081898e5da9e677552513e2d0dba4612a9081e2c4114b",
+    ("superexponential", 10, 2.0): "b70e769af77b143804ef3c61dd624e553eae7c3e297f0b4bd54a8fbf3ddb9d07",
+    ("reciprocal", 2000, 1.0): "921df995be4bbf37d11cf781a7ce6cd96d0804af18e679a0888f6a0b0bb0a3e8",
+}
+
+# (float.hex of the value, float.hex of the radius) of plancherel_sum over a
+# ladder of multiplicity 6, keyed by (t, radius): the grid of the mpmath test
+PLANCHEREL_SUM_HEX = {
+    (0.45, 0.5): ("0x1.7cc76ed03748cp+3", "0x1.b715f894e6264p-46"),
+    (0.45, 1.0): ("0x1.1b397648f42f2p+4", "0x1.493445c40c770p-45"),
+    (0.45, 2.0): ("0x1.80b1ec40cf3fcp+4", "0x1.c51a8f6366e46p-45"),
+    (0.45, 1000.0): ("0x1.0938a3452566ep+5", "0x1.67c91cbfe35afp-44"),
+    (0.1, 0.5): ("0x1.b534897d7f600p+4", "0x1.f1d419bde2f5cp-45"),
+    (0.1, 1.0): ("0x1.1703fcf9c6e02p+5", "0x1.3fcc4f6059070p-44"),
+    (0.1, 2.0): ("0x1.51765f4cd4a50p+5", "0x1.86f9fec839ec7p-44"),
+    (0.1, 1000.0): ("0x1.998c68315bc08p+5", "0x1.66da767ce077ep-43"),
+    (0.001, 0.5): ("0x1.45ce51cdf6071p+6", "0x1.0726f31e60583p-42"),
+    (0.001, 1.0): ("0x1.6650e2dc333f6p+6", "0x1.039de3f40d9fcp-42"),
+    (0.001, 2.0): ("0x1.84c7297b9a3f4p+6", "0x1.00013a6b4367ep-42"),
+    (0.001, 1000.0): ("0x1.a9d21bad220e5p+6", "0x1.f219733d6636dp-43"),
+    (1e-07, 0.5): ("0x1.7fed69c840edbp+7", "0x1.ac0db040e7ea1p-42"),
+    (1e-07, 1.0): ("0x1.9031d3d6fde3ep+7", "0x1.a8888ec42f09ep-42"),
+    (1e-07, 2.0): ("0x1.9f6e9b029e27ep+7", "0x1.a4edfceff40b7p-42"),
+    (1e-07, 1000.0): ("0x1.b1f562a1ab1a4p+7", "0x1.9dfb72043fb0cp-42"),
+    (2.061153622438558e-09, 0.5): ("0x1.dd17d53a3175bp+7", "0x1.f1ed6fe93bfd5p-42"),
+    (2.061153622438558e-09, 1.0): ("0x1.ed5c3f5ddefc9p+7", "0x1.ee684e858b51dp-42"),
+    (2.061153622438558e-09, 2.0): ("0x1.fc990694107d1p+7", "0x1.eacdbcbebf816p-42"),
+    (2.061153622438558e-09, 1000.0): ("0x1.078fe71de58fcp+8", "0x1.e3db31df8d2c9p-42"),
+    (1e-13, 0.5): ("0x1.65bff46993d6cp+8", "0x1.525dbf128dfa0p-41"),
+    (1e-13, 1.0): ("0x1.6de2297b36537p+8", "0x1.509b2e6110401p-41"),
+    (1e-13, 2.0): ("0x1.75808d1666b64p+8", "0x1.4ecde57dce0e2p-41"),
+    (1e-13, 1000.0): ("0x1.7ec3f0ea358aep+8", "0x1.4b54a00e607cap-41"),
+    (1e-300, 0.5): ("0x1.02fed2b4901b6p+13", "0x1.88df188b0e084p-37"),
+    (1e-300, 1.0): ("0x1.033fe45d1d2f4p+13", "0x1.88c2ef7ff62cbp-37"),
+    (1e-300, 2.0): ("0x1.037cd779f6b25p+13", "0x1.88a61af1c2099p-37"),
+    (1e-300, 1000.0): ("0x1.03c6f2989528fp+13", "0x1.886e869acb308p-37"),
+}
+
+
+@pytest.mark.parametrize("rule,stop,radius", sorted(SCHEDULE_CSV_SHA256))
+def test_schedule_csv_bytes_pinned(capsys, tmp_path, rule, stop, radius):
+    cfg = tmp_path / "schedule.json"
+    cfg.write_text(json.dumps({"name": rule, "pinch": {"rule": rule},
+                               "levels": {"kind": "range", "start": 3, "stop": stop}}))
+    code = main(["schedule", "--config", str(cfg), "--radius", repr(radius),
+                 "--j-max", "10000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCHEDULE_CSV_SHA256[rule, stop, radius]
+
+
+def test_plancherel_sum_bits_pinned():
+    grid = [(t, r) for t in (0.45, 0.1, 1e-3, 1e-7, math.exp(-20.0), 1e-13, 1e-300)
+            for r in (0.5, 1.0, 2.0, 1e3)]
+    assert sorted(grid) == sorted(PLANCHEREL_SUM_HEX)
+    for t, r in grid:
+        val = plancherel_sum(pinch_ladder(t, r, 6), r)
+        assert (float(val).hex(), val.radius.hex()) == PLANCHEREL_SUM_HEX[t, r], (t, r)
