@@ -27,7 +27,7 @@ from .hyperbolic import _sinh_half, crossing_length_bound, distortion_bound, len
 _CUTOFF_GRACE = Fraction(10**12 + 1, 10**12)
 _MIN_PINCH = 1e-300  # near the subnormal range t loses digits; a rule has likely underflowed
 _HEAD = 128  # rungs summed term by term in front of the Euler-Maclaurin tail
-_HEAD_RUNGS = np.arange(1.0, _HEAD + 1.0)
+_HEAD_RUNGS = np.arange(1.0, 1025.0)  # rung numbers for a head of up to 1024 rungs
 _EPS = sys.float_info.epsilon
 _NORMAL_Y = 708.0  # e^-y is a normal float up to here, subnormal or 0 past it
 _TINY = math.ulp(0.0)  # the smallest positive float
@@ -251,21 +251,58 @@ def _log_tanh(z: float) -> float:
     return math.log1p(-2.0 * e / (1.0 + e))
 
 
-def _ladder_sum(t: float, count: int) -> tuple[float, float]:
-    """Sum of t/sinh(k t/2) for k = 1..count, and its error radius.
+# the kernel g = 1 for _ladder_sum: no head values, ends (1, 0, 0, 0),
+# bounds (1, 0, ..., 0) and the closed-form integral
+_ONE = (None, ((1.0, 0.0, 0.0, 0.0),) * 2, (1.0,) + (0.0,) * 6, None)
 
-    The first _HEAD rungs are summed term by term. The rest, k = a..count
-    with a = _HEAD + 1, follow Euler-Maclaurin to order 6 (DLMF 2.10.1) with
-    the antiderivative 2 log tanh(x t/4). The summand is completely
-    monotone, so the remainder obeys |R_3| <= 2 |B_6|/6! |f^(5)(a)|.
+
+def _tail_span(t: float, count: int, head: int, cap: float = math.inf) -> tuple[float, float]:
+    """The first and the last tail length, (head + 1) t and count t, each cut at cap."""
+    lo, hi = (head + 1) * t, _rung_length(t, count)
+    return (lo if lo < cap else cap), (hi if hi < cap else cap)
+
+
+def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
+                cap: float = math.inf) -> tuple[float, float, float]:
+    """Sum of f(k) = g(k t) w(k), w(k) = t/sinh(k t/2), for k = 1..count;
+    its Euler-Maclaurin remainder bound; and its roundoff estimate.
+
+    The first ``head`` rungs are summed term by term. The rest, k = a..b
+    with a = head + 1 and b = count, follow Euler-Maclaurin to order 6
+    (DLMF 2.10.1): the integral of f, then f/2, -+f'/12 and +-f'''/720 at a
+    and b, each derivative of f formed from those of g and w by Leibniz's
+    rule. For g = 1 the integral is the closed form 2 log tanh(x t/4); any
+    other kernel brings its own. ``cap`` cuts the tail where g vanishes.
+
+    ``kernel`` is (values, ends, bounds, integral): g at the head rungs,
+    or None for g = 1; (g, t g', t^2 g'', t^3 g''') at a and at b; the
+    bounds t^i G_i, i = 0..6, with G_i a bound on |g^(i)|; and the tail
+    integral of g(u)/sinh(u/2) du with the size of its terms, or None for
+    the closed form. Only the values are read when count <= head.
+
+    The remainder obeys |R_3| <= 2 |B_6|/6! int_a^b |f^(6)| (DLMF 2.10).
+    Leibniz's rule bounds int |f^(6)| by sum_(i <= 6) C(6, i) t^i G_i
+    int_a^b |w^(6-i)|, and since w is completely monotone,
+    int_a^b |w^(j)| <= |w^(j-1)(a)| for j >= 1. So int |f^(6)| is at most
+    sum_(i < 6) C(6, i) t^i G_i |w^(5-i)(a)| + t^6 G_6 int_a^b w, which is
+    |w^(5)(a)| for g = 1. The kernel brings t^i G_i and t^i g^(i) already
+    scaled, so no power of t is formed here, where t may be 1e300.
+
+    The roundoff charges each computed term a few ulp plus the rounding of
+    its argument, an ulp of the assembled value, and 8 ulp of the size of
+    the terms of a kernel's own integral.
     """
-    k = _HEAD_RUNGS[: min(count, _HEAD)]
-    terms = _rung_weights(t, k)
-    head = math.fsum(terms.tolist())
+    values, ends, bounds, integral = kernel
+    k = _HEAD_RUNGS[: min(count, head)]
+    terms = _rung_weights(t, k) if values is None else _rung_weights(t, k) * values
+    value = math.fsum(terms.tolist())
+    # for g = 1 the terms are positive, so the sum is their size
+    magnitudes = terms if values is None else np.abs(terms)
+    size = value if values is None else float(np.sum(magnitudes))
     # each computed term is charged a few ulp, plus the rounding of its
     # argument y = k t/2 times the condition number (below 1 + y) of e^-y
-    roundoff = _EPS * (8.0 * head + 0.5 * t * float(np.dot(terms, k)))
-    hi = _rung_length(t, count)  # the last length
+    roundoff = _EPS * (8.0 * size + 0.5 * t * float(np.dot(magnitudes, k)))
+    lo, hi = _tail_span(t, count, head, cap)
     if hi > 2.0 * _NORMAL_Y:
         # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
         # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
@@ -274,33 +311,51 @@ def _ladder_sum(t: float, count: int) -> tuple[float, float]:
         # positive where e^-y alone underflows
         y = max(_NORMAL_Y, 0.5 * t)
         roundoff += math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
-    if count <= _HEAD:
-        return head, roundoff
-    lo = (_HEAD + 1) * t  # the first tail length
-    fa, da1, _, da3, _, da5 = _weight_derivatives(t, lo)
-    fb, db1, _, db3, _, _ = _weight_derivatives(t, hi)
+    if count <= head:
+        return value, 0.0, roundoff
+    w0, w1, w2, w3, w4, w5 = _weight_derivatives(t, lo)
+    v0, v1, v2, v3, _, _ = _weight_derivatives(t, hi)
     log_a, log_b = _log_tanh(0.25 * lo), _log_tanh(0.25 * hi)
-    value = (head + 2.0 * (log_b - log_a) + 0.5 * (fa + fb)
+    if integral is None:  # g = 1: the closed form, whose two logs are charged at the ends
+        integral, integral_size = 2.0 * (log_b - log_a), 0.0
+        size_a, size_b = abs(log_a), abs(log_b)
+    else:
+        (integral, integral_size), size_a, size_b = integral, 0.0, 0.0
+    # f, f' and f''' at a and at b, by Leibniz's rule
+    (ga, ga1, ga2, ga3), (gb, gb1, gb2, gb3) = ends
+    fa, da1 = ga * w0, ga1 * w0 + ga * w1
+    fb, db1 = gb * v0, gb1 * v0 + gb * v1
+    da3 = ga3 * w0 + 3.0 * (ga2 * w1 + ga1 * w2) + ga * w3
+    db3 = gb3 * v0 + 3.0 * (gb2 * v1 + gb1 * v2) + gb * v3
+    value = (value + integral + 0.5 * (fa + fb)
              + (db1 - da1) / 12.0 - (db3 - da3) / 720.0)
     # likewise for the endpoint terms, whose condition numbers in the length
-    # x t stay below 1 + x t
-    size_a = abs(log_a) + 0.5 * fa + abs(da1) / 12.0 + abs(da3) / 720.0
-    size_b = abs(log_b) + 0.5 * fb + abs(db1) / 12.0 + abs(db3) / 720.0
-    roundoff += _EPS * ((8.0 + lo) * size_a + (8.0 + hi) * size_b + value)
-    return value, abs(da5) / 15120.0 + roundoff
+    # x t stay below 1 + x t (summed left to right, not by +=, which would
+    # round the criterion sum's radius differently)
+    size_a = size_a + 0.5 * abs(fa) + abs(da1) / 12.0 + abs(da3) / 720.0
+    size_b = size_b + 0.5 * abs(fb) + abs(db1) / 12.0 + abs(db3) / 720.0
+    roundoff += _EPS * ((8.0 + lo) * size_a + (8.0 + hi) * size_b
+                        + 8.0 * integral_size + abs(value))
+    c0, c1, c2, c3, c4, c5, c6 = bounds
+    leibniz = (c0 * abs(w5) + 6.0 * (c1 * abs(w4) + c5 * abs(w0))
+               + 15.0 * (c2 * abs(w3) + c4 * abs(w1)) + 20.0 * c3 * abs(w2)
+               + c6 * 2.0 * (log_b - log_a))
+    return value, leibniz / 15120.0, roundoff  # 2 |B_6|/6! = 1/15120
 
 
 def plancherel_sum(spectrum, radius) -> CertifiedValue:
     """Spectral-criterion sum over the given classes: multiplicity *
     primitive_length / sinh(length/2), with an error radius.
 
-    Every ladder takes one route, at the same cost whatever its length: the
-    first 128 rungs term by term, the rest by Euler-Maclaurin to order 6
-    with a closed-form integral. The radius has two parts. The
+    Every ladder goes through the ladder engine that the geometric side
+    shares, at the same cost whatever its length: the first 128 rungs term
+    by term, the rest by Euler-Maclaurin to order 6 with the closed-form
+    integral 2 log tanh(k t/4). The radius has two parts. The
     Euler-Maclaurin remainder is a proven bound (DLMF 2.10.2). The roundoff
-    part is an estimate: it charges each computed term a few ulp, which
-    assumes libm exp, expm1, sinh, tanh and log are that accurate. Explicit
-    class lists are summed term by term.
+    part is an estimate: it charges each computed term a few ulp plus the
+    rounding of its argument, which assumes libm exp, expm1, sinh, tanh and
+    log are that accurate. Explicit class lists are summed term by term, at
+    8 ulp per term.
     """
     r = _require_positive("radius", radius)
     grace = r * (1.0 + 1e-12)
@@ -309,15 +364,14 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
         reach = _rung_length(t, count)
         if count > 0 and reach > grace + t * 1e-9:
             raise DomainError(f"ladder reaches {reach!r}, beyond radius {r!r}")
-        value, err = _ladder_sum(t, count)
-        return CertifiedValue(mult * value, mult * err + _EPS * mult * value)
+        value, remainder, roundoff = _ladder_sum(t, count)
+        return CertifiedValue(mult * value, mult * (remainder + roundoff) + _EPS * mult * value)
     terms = []
     for cls in spectrum:
         if cls.length > grace:
             raise DomainError(f"class length {cls.length!r} exceeds radius {r!r}")
         terms.append(cls.multiplicity * cls.primitive_length / _sinh_half(cls.length))
-    value = math.fsum(terms)
-    return CertifiedValue(value, 3e-16 * math.fsum(abs(x) for x in terms))
+    return CertifiedValue(math.fsum(terms), 8.0 * _EPS * math.fsum(abs(x) for x in terms))
 
 
 def plancherel_normalized(level, pinch_length, radius) -> CertifiedValue:

@@ -20,13 +20,11 @@ import numpy as np
 from .certified import CertifiedValue
 from .convergence import (
     _EPS,
+    _HEAD_RUNGS,
     PinchLadder,
     _ladder_count,
     _ladder_sum,
-    _log_tanh,
-    _rung_length,
-    _rung_weights,
-    _weight_derivatives,
+    _tail_span,
     compacted_surface,
     short_spectrum,
     validity_check,
@@ -171,9 +169,9 @@ class TransformProfile:
         return float(_SIGNS @ self.coefficients)
 
     @cached_property
-    def _series_sups(self) -> np.ndarray:
+    def _series_sups(self) -> tuple[float, ...]:
         """Bounds on |g|, |g'|, ..., |g^(6)|: the coefficient sums of their series."""
-        return np.sum(np.abs(self.ladder_series), axis=0)
+        return tuple(np.sum(np.abs(self.ladder_series), axis=0).tolist())
 
 
 def transform_profile(phi: TestFunction) -> TransformProfile:
@@ -306,12 +304,11 @@ def _kernel_points(ladder: PinchLadder, L: float) -> _KernelPoints:
     when no rung lies inside the support."""
     t = ladder.pinch_length
     n_eff = min(ladder.count, _ladder_count(t, L))
-    points = np.arange(1.0, min(n_eff, _GEO_HEAD) + 1.0) * t
-    lo = hi = 0.0
+    # the last rung may pass L by the cutoff grace; g vanishes there
+    lo, hi = _tail_span(t, n_eff, _GEO_HEAD, L)
+    points = _HEAD_RUNGS[: min(n_eff, _GEO_HEAD)] * t
     if n_eff > _GEO_HEAD:
-        # the last rung may pass L by the cutoff grace; g vanishes there
-        lo, hi = min((_GEO_HEAD + 1) * t, L), min(_rung_length(t, n_eff), L)
-        x, _ = _gauss_legendre(_GEO_GAUSS)
+        x = _gauss_legendre(_GEO_GAUSS)[0]
         points = np.concatenate([points, lo + 0.5 * (hi - lo) * (x + 1.0)])
     return _KernelPoints(ladder, n_eff, lo, hi, points)
 
@@ -321,62 +318,41 @@ def _ladder_geometric(kp: _KernelPoints, kernel_values: np.ndarray,
     """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2),
     from the kernel values at the ladder's kernel points.
 
-    The first _GEO_HEAD rungs are summed term by term; the rest, k = a..b,
-    follow Euler-Maclaurin to order 6 (DLMF 2.10.1) for f(x) = g(x t) h(x),
-    h(x) = t/sinh(x t/2). Its integral, int g(u)/sinh(u/2) du over
-    [a t, b t], is 2 g(0) log(b/a) plus a 128-point Gauss-Legendre rule for
-    the rest: 2 (g(u) - g(0))/u, a polynomial of degree 253 on the series
-    that the rule integrates exactly, and g(u) (1/sinh(u/2) - 2/u), which
-    is analytic. The remainder obeys
-    |R_3| <= 2 |B_6|/6! int_a^b |f^(6)| (DLMF 2.10), and the Leibniz rule
-    bounds int |f^(6)| by sum_(i < 6) C(6, i) t^i G_i |h^(5-i)(a)| +
-    t^6 G_6 int h, since h is completely monotone; G_i bounds |g^(i)| by the
-    coefficient sum of its series, as |T_k| <= 1.
+    The ladder engine ``_ladder_sum`` sums it, with a head of _GEO_HEAD
+    rungs and the tail, k = a..b, cut at the support L. This supplies the
+    kernel: g at the head rungs; g, g', g'' and g''' at the two tail ends,
+    from the derivative series, and the bounds G_i on |g^(i)|, the
+    coefficient sums of those series, as |T_k| <= 1, all times t^i to make
+    them derivatives in k; and the tail integral int g(u)/sinh(u/2) du over
+    [a t, b t]. That integral is 2 g(0) log(b/a) plus a 128-point
+    Gauss-Legendre rule for the rest: 2 (g(u) - g(0))/u, a polynomial of
+    degree 253 on the series that the rule integrates exactly, and
+    g(u) (1/sinh(u/2) - 2/u), which is analytic. The radius adds
+    ``kernel_error`` times the summed weights, the engine's sum at g = 1
+    with its radius.
     """
     ladder, n_eff, lo, hi, points = kp
-    if n_eff == 0:
-        return CertifiedValue(0.0, 0.0)
-    t = ladder.pinch_length
-    mult = ladder.multiplicity
-    L = profile.g_support
+    t, mult, L = ladder.pinch_length, ladder.multiplicity, profile.g_support
     n_head = min(n_eff, _GEO_HEAD)
-    k = np.arange(1.0, n_head + 1.0)
-    head_terms = _rung_weights(t, k) * kernel_values[:n_head]
-    head = math.fsum(head_terms.tolist())
-    # a few ulp per term, plus the rounding of y = k t/2 in the weight
-    roundoff = _EPS * (8.0 * float(np.sum(np.abs(head_terms)))
-                       + 0.5 * t * float(np.dot(np.abs(head_terms), k)))
-    value, remainder = head, 0.0
+    ends = bounds = integral = None
     if n_eff > _GEO_HEAD:
-        a, b = _GEO_HEAD + 1, n_eff
         g0 = profile._g0
-        log_ratio = math.log(b / a) if hi < L else math.log(L / lo)
-        ends = np.cos(np.outer(np.arccos([lo / L, hi / L]), _ORDERS)) @ profile.ladder_series
-        _, w = _gauss_legendre(_GEO_GAUSS)
-        w = 0.5 * (hi - lo) * w
+        # the engine takes t^i g^(i), the derivatives in the rung number
+        scale = [t**i for i in range(7)]
+        series = np.cos(np.outer(np.arccos([lo / L, hi / L]), _ORDERS)) @ profile.ladder_series
+        ends = tuple(tuple(s * g for s, g in zip(scale, end[:4])) for end in series.tolist())
+        bounds = tuple(s * sup for s, sup in zip(scale, profile._series_sups))
+        w = 0.5 * (hi - lo) * _gauss_legendre(_GEO_GAUSS)[1]
         u = points[n_head:]
         g_rule, csch_rule = kernel_values[n_head:], 1.0 / np.sinh(0.5 * u)
-        rest = w * (g_rule * csch_rule - 2.0 * g0 / u)
-        parts = [2.0 * g0 * log_ratio]
-        # the endpoint terms f/2, -+ f'/12 and +- f3/720 at a (sign 1) and b (sign -1)
-        for end, u_end, sign in ((ends[0], lo, 1.0), (ends[1], hi, -1.0)):
-            g_, g1, g2, g3 = end[:4]
-            h = _weight_derivatives(t, u_end)
-            parts += [0.5 * g_ * h[0],
-                      -sign * (t * g1 * h[0] + g_ * h[1]) / 12.0,
-                      sign * (t**3 * g3 * h[0] + 3.0 * t * t * g2 * h[1] + 3.0 * t * g1 * h[2]
-                              + g_ * h[3]) / 720.0]
-        value = head + math.fsum(parts) + math.fsum(rest.tolist())
-        sups = profile._series_sups
-        h_a = np.abs(_weight_derivatives(t, lo))
-        leibniz = sum(math.comb(6, i) * t**i * sups[i] * h_a[5 - i] for i in range(6))
-        leibniz += t**6 * sups[6] * 2.0 * (_log_tanh(0.25 * hi) - _log_tanh(0.25 * lo))
-        remainder = leibniz / 15120.0  # 2 |B_6|/6! = 1/15120
-        # the two parts of each term of the rule cancel; charge a few ulp of both
-        roundoff += 8.0 * _EPS * (math.fsum(abs(p) for p in parts)
-                                  + float(w @ (np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / u)))
-    weight_sum, weight_err = _ladder_sum(t, n_eff)
-    kernel_charge = profile.kernel_error * (weight_sum + weight_err)
+        log_part = 2.0 * g0 * math.log(n_eff / (_GEO_HEAD + 1) if hi < L else L / lo)
+        # the two parts of each term of the rule cancel; the size counts both
+        integral = (log_part + math.fsum((w * (g_rule * csch_rule - 2.0 * g0 / u)).tolist()),
+                    abs(log_part) + float(w @ (np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / u)))
+    kernel = (kernel_values[:n_head], ends, bounds, integral)
+    value, remainder, roundoff = _ladder_sum(t, n_eff, _GEO_HEAD, kernel, L)
+    weight_sum, weight_remainder, weight_roundoff = _ladder_sum(t, n_eff)
+    kernel_charge = profile.kernel_error * (weight_sum + (weight_remainder + weight_roundoff))
     value *= 0.5 * mult
     return CertifiedValue(
         value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value))
@@ -411,12 +387,14 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     """Length-spectrum side: sum of multiplicity * primitive_length /
     (2 sinh(length/2)) * g(length), with g the kernel of ``profile``.
 
-    A pinch ladder takes one route at any length: the first 1024 rungs term
-    by term, the rest by Euler-Maclaurin on the kernel series; a list of
-    classes is summed term by term. Either radius charges ``kernel_error``
-    times the summed weights. The Euler-Maclaurin remainder is a proven
-    bound for the series kernel; the kernel error and the roundoff (a few
-    ulp per computed term) are estimates.
+    A pinch ladder goes through the ladder engine of ``plancherel_sum``
+    with g as the weight: the first 1024 rungs term by term, the rest by
+    Euler-Maclaurin on the kernel series, with the tail integral taken as
+    2 g(0) log(b/a) plus a Gauss rule. A list of classes is summed term by
+    term, at 8 ulp per term. Either radius charges ``kernel_error`` times
+    the summed weights. The Euler-Maclaurin remainder is a proven bound for
+    the series kernel; the kernel error and the roundoff (a few ulp per
+    computed term, plus the rounding of its argument) are estimates.
     """
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
@@ -429,10 +407,8 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
                for cls in classes]
     kernel_values = profile.g(np.array([cls.length for cls in classes], dtype=float))
     terms = [w * g for w, g in zip(weights, kernel_values.tolist())]
-    value = math.fsum(terms)
-    radius = (3e-16 * math.fsum(abs(x) for x in terms)
-              + profile.kernel_error * math.fsum(weights))
-    return CertifiedValue(value, radius)
+    return CertifiedValue(math.fsum(terms), 8.0 * _EPS * math.fsum(abs(x) for x in terms)
+                          + profile.kernel_error * math.fsum(weights))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from pinchlab import (
     surface_data,
     validity_check,
 )
+from pinchlab.convergence import _EPS, _HEAD, _ladder_sum, _weight_derivatives
 
 mp.mp.dps = 50
 
@@ -235,6 +236,34 @@ def test_plancherel_sum_accepts_plain_classes():
     val = plancherel_sum(classes, 1.0)
     ref = plancherel_sum(pinch_ladder(0.5, 1.0, 1), 1.0)
     assert float(val) == pytest.approx(float(ref), rel=1e-14)
+
+
+@pytest.mark.parametrize("length,primitive,mult", [
+    (11.588139673497958, 2.8970349183744895, 30),
+    (5.829396952219904, 1.457349238054976, 3),
+    (3.0016094054548246, 1.5008047027274123, 12),
+])
+def test_plancherel_sum_class_list_encloses_reference(length, primitive, mult):
+    # a multiply, a divide and libm sinh round each term by up to about 4
+    # ulp; a charge of 3e-16 of the term missed these three
+    cls = GeodesicClass(length=length, primitive_length=primitive, multiplicity=mult)
+    val = plancherel_sum([cls], length)
+    with mp.workdps(40):
+        ref = mult * mp.mpf(primitive) / mp.sinh(mp.mpf(length) / 2)
+        assert abs(mp.mpf(float(val)) - ref) <= val.radius
+
+
+@pytest.mark.parametrize("t,r", [(0.1, 1e3), (1e-3, 1.0), (1e-7, 2.0), (1e-300, 1e3)])
+def test_ladder_engine_at_unit_kernel_is_the_criterion_sum(t, r):
+    # with g = 1 the Leibniz remainder is |w^(5)(a)|/15120 at a = _HEAD + 1,
+    # and the two radius parts make up plancherel_sum's radius bit for bit
+    ladder = pinch_ladder(t, r, 6)
+    assert ladder.count > _HEAD
+    value, remainder, roundoff = _ladder_sum(t, ladder.count)
+    assert remainder == abs(_weight_derivatives(t, (_HEAD + 1) * t)[5]) / 15120
+    val = plancherel_sum(ladder, r)
+    assert float(val) == 6 * value
+    assert val.radius == 6 * (remainder + roundoff) + _EPS * 6 * value
 
 
 def test_bracket_matches_exact_summation():

@@ -355,7 +355,7 @@ def test_geometric_side_class_list_is_one_array_call(profile1):
     weighted = [(c.multiplicity * c.primitive_length / (2.0 * math.sinh(0.5 * c.length)),
                  c.length) for c in classes]
     terms = [w * profile1.g(length) for w, length in weighted]
-    radius = (3e-16 * math.fsum(abs(x) for x in terms)
+    radius = (8.0 * np.finfo(float).eps * math.fsum(abs(x) for x in terms)
               + profile1.kernel_error * math.fsum(w for w, _ in weighted))
     assert float(side) == math.fsum(terms)
     assert side.radius == radius
