@@ -1,7 +1,8 @@
 """Regression pins: the bytes of the ``schedule`` CSV and the bits of
 ``plancherel_sum``, recorded from the code as it stood before the ladder
-sums were shared with the geometric side. A change that moves any of them
-must say why."""
+sums were shared with the geometric side, and the bytes of the
+``trace-check`` CSV, recorded before the kernel evaluator changed. A change
+that moves any of them must say why."""
 
 import hashlib
 import json
@@ -59,6 +60,10 @@ PLANCHEREL_SUM_HEX = {
     (1e-300, 1000.0): ("0x1.03c6f2989528fp+13", "0x1.886e869acb308p-37"),
 }
 
+# sha256 of the ``trace-check`` CSV over these supports at tol 1e-9
+TRACE_CHECK_SUPPORTS = "0.25,0.5,0.75,1,2,4,8"
+TRACE_CHECK_CSV_SHA256 = "8e7fee95fd21e07c970295a14de4e29c62f9975f70a4817c8802903e8a1b3706"
+
 
 @pytest.mark.parametrize("rule,stop,radius", sorted(SCHEDULE_CSV_SHA256))
 def test_schedule_csv_bytes_pinned(capsys, tmp_path, rule, stop, radius):
@@ -79,3 +84,10 @@ def test_plancherel_sum_bits_pinned():
     for t, r in grid:
         val = plancherel_sum(pinch_ladder(t, r, 6), r)
         assert (float(val).hex(), val.radius.hex()) == PLANCHEREL_SUM_HEX[t, r], (t, r)
+
+
+def test_trace_check_csv_bytes_pinned(capsys):
+    code = main(["trace-check", "--supports", TRACE_CHECK_SUPPORTS, "--tol", "1e-9"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACE_CHECK_CSV_SHA256
