@@ -263,7 +263,7 @@ def _tail_span(t: float, count: int, head: int, cap: float = math.inf) -> tuple[
 
 
 def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
-                cap: float = math.inf) -> tuple[float, float, float]:
+                cap: float = math.inf) -> tuple:
     """Sum of f(k) = g(k t) w(k), w(k) = t/sinh(k t/2), for k = 1..count;
     its Euler-Maclaurin remainder bound; and its roundoff estimate.
 
@@ -280,6 +280,14 @@ def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
     integral of g(u)/sinh(u/2) du with the size of its terms, or None for
     the closed form. Only the values are read when count <= head.
 
+    For g = 1 it returns (value, remainder, roundoff). For any other kernel
+    it returns that triple and then the one for g = 1 over the same rungs,
+    head and cap, from the same weights and end derivatives: the geometric
+    side charges its kernel error on that sum. Beside a kernel the g = 1
+    head is summed by numpy's pairwise sum, not by fsum: that sum only
+    scales the kernel charge, itself an estimate, and fsum over 1024 rungs
+    would cost more than the rest of its assembly.
+
     The remainder obeys |R_3| <= 2 |B_6|/6! int_a^b |f^(6)| (DLMF 2.10).
     Leibniz's rule bounds int |f^(6)| by sum_(i <= 6) C(6, i) t^i G_i
     int_a^b |w^(6-i)|, and since w is completely monotone,
@@ -292,17 +300,10 @@ def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
     its argument, an ulp of the assembled value, and 8 ulp of the size of
     the terms of a kernel's own integral.
     """
-    values, ends, bounds, integral = kernel
     k = _HEAD_RUNGS[: min(count, head)]
-    terms = _rung_weights(t, k) if values is None else _rung_weights(t, k) * values
-    value = math.fsum(terms.tolist())
-    # for g = 1 the terms are positive, so the sum is their size
-    magnitudes = terms if values is None else np.abs(terms)
-    size = value if values is None else float(np.sum(magnitudes))
-    # each computed term is charged a few ulp, plus the rounding of its
-    # argument y = k t/2 times the condition number (below 1 + y) of e^-y
-    roundoff = _EPS * (8.0 * size + 0.5 * t * float(np.dot(magnitudes, k)))
+    weights = _rung_weights(t, k)
     lo, hi = _tail_span(t, count, head, cap)
+    underflow = 0.0
     if hi > 2.0 * _NORMAL_Y:
         # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
         # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
@@ -310,12 +311,36 @@ def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
         # t/(1 - e^-t/2) <= 2 + t; charge twice that, in logs so that it stays
         # positive where e^-y alone underflows
         y = max(_NORMAL_Y, 0.5 * t)
-        roundoff += math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
-    if count <= head:
+        underflow = math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
+    tail = None
+    if count > head:
+        tail = (lo, hi, _weight_derivatives(t, lo), _weight_derivatives(t, hi),
+                _log_tanh(0.25 * lo), _log_tanh(0.25 * hi))
+    values = kernel[0]
+    if values is None:
+        return _assemble(t, k, weights, math.fsum(weights.tolist()), underflow, tail, kernel)
+    terms = weights * values
+    return (_assemble(t, k, terms, math.fsum(terms.tolist()), underflow, tail, kernel),
+            _assemble(t, k, weights, float(np.sum(weights)), underflow, tail, _ONE))
+
+
+def _assemble(t: float, k: np.ndarray, terms: np.ndarray, value: float, underflow: float,
+              tail, kernel: tuple) -> tuple[float, float, float]:
+    """(value, remainder, roundoff) of ``_ladder_sum`` for one kernel, from
+    the head terms at the rungs k, their sum ``value`` and the underflow
+    charge; ``tail`` is (lo, hi, the derivatives of w at lo and at hi,
+    log tanh(lo/4), log tanh(hi/4)), or None when there is no tail."""
+    values, ends, bounds, integral = kernel
+    # for g = 1 the terms are positive, so the sum is their size
+    magnitudes = terms if values is None else np.abs(terms)
+    size = value if values is None else float(np.sum(magnitudes))
+    # each computed term is charged a few ulp, plus the rounding of its
+    # argument y = k t/2 times the condition number (below 1 + y) of e^-y
+    roundoff = _EPS * (8.0 * size + 0.5 * t * float(np.dot(magnitudes, k)))
+    roundoff += underflow
+    if tail is None:
         return value, 0.0, roundoff
-    w0, w1, w2, w3, w4, w5 = _weight_derivatives(t, lo)
-    v0, v1, v2, v3, _, _ = _weight_derivatives(t, hi)
-    log_a, log_b = _log_tanh(0.25 * lo), _log_tanh(0.25 * hi)
+    lo, hi, (w0, w1, w2, w3, w4, w5), (v0, v1, v2, v3, _, _), log_a, log_b = tail
     if integral is None:  # g = 1: the closed form, whose two logs are charged at the ends
         integral, integral_size = 2.0 * (log_b - log_a), 0.0
         size_a, size_b = abs(log_a), abs(log_b)

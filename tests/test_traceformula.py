@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +25,13 @@ from pinchlab import (
     validity_check,
     vanishing_series,
 )
-from pinchlab.traceformula import _BLOCK, _even_series, _kernel_points
+from pinchlab.traceformula import (
+    _BLOCK,
+    _even_series,
+    _giant_split,
+    _kernel_points,
+    _split_series,
+)
 
 mp.mp.dps = 50
 
@@ -212,6 +222,67 @@ def test_even_series_is_elementwise(profile1):
             single = _even_series(profile1.coefficients, x)
             assert np.ndim(single) == 0
             assert float(single).hex() == float(parts[3][i]).hex()
+
+
+# Run in a fresh interpreter under a given BLAS thread count: the kernel
+# evaluator's matrix product must not let one point's bits depend on the
+# others, whatever the column count. Unpadded, pieces of 1 to 100 points gave
+# other bits than the same points inside a larger product.
+_SPLIT_ELEMENTWISE = """
+import numpy as np
+from pinchlab import bump, transform_profile
+from pinchlab.traceformula import _giant_split, _split_series
+
+profile = transform_profile(bump(1.0))
+split, L = _giant_split(profile.coefficients), profile.g_support
+rng = np.random.default_rng(13)
+sizes = (0, 1, 2, 3, 4, 5, 9, 17, 33, 100, 1152, 5000, 20000)
+pieces = [rng.uniform(0.0, 1.0, n) for n in sizes]
+whole = _split_series(split, np.concatenate(pieces))
+parts = [_split_series(split, piece) for piece in pieces]
+assert whole.tobytes() == np.concatenate(parts).tobytes()
+g_whole = profile.g(L * np.concatenate(pieces))
+assert g_whole.tobytes() == np.concatenate([profile.g(L * p) for p in pieces]).tobytes()
+for i in (0, 5, 1000, 4999):
+    x = pieces[11][i]
+    for single in (_split_series(split, np.asarray(x)), _split_series(split, np.float64(x))):
+        assert np.ndim(single) == 0 and float(single).hex() == float(parts[11][i]).hex()
+    start = sum(sizes[:11]) + i
+    for u in (L * x, np.asarray(L * x), np.float64(L * x)):
+        assert profile.g(u).hex() == float(g_whole[start]).hex()
+print("elementwise")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_split_series_is_elementwise(threads):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SPLIT_ELEMENTWISE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "elementwise"
+
+
+@pytest.mark.parametrize("S", [0.25, 1.0, 8.0, 64.0, 1e4, 1e6])
+def test_split_series_against_mpmath(S):
+    # the evaluator stays within the 8 ulp of the coefficient sum that
+    # kernel_error charges for roundoff, against a 40-digit Clenshaw sum of
+    # the same series
+    coefficients = transform_profile(bump(S)).coefficients
+    x = np.concatenate([[0.0, 1.0], np.random.default_rng(17).uniform(0.0, 1.0, 100)])
+    values = _split_series(_giant_split(coefficients), x)
+    allowance = 8.0 * np.finfo(float).eps * float(np.sum(np.abs(coefficients)))
+    cs = [mp.mpf(float(c)) for c in coefficients]
+    with mp.workdps(40):
+        for xi, value in zip(x.tolist(), values.tolist()):
+            y2 = 4 * mp.mpf(xi) ** 2 - 2
+            b1 = b2 = mp.mpf(0)
+            for c in cs[:0:-1]:
+                b1, b2 = y2 * b1 - b2 + c, b1
+            ref = y2 / 2 * b1 - b2 + cs[0]
+            assert abs(value - ref) <= allowance, (xi, value)
 
 
 def test_h_at_zero_is_g_mass(profile1):
