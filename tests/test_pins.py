@@ -1,8 +1,9 @@
 """Regression pins: the bytes of the ``schedule`` CSV and the bits of
 ``plancherel_sum``, recorded from the code as it stood before the ladder
-sums were shared with the geometric side, and the bytes of the
-``trace-check`` CSV, recorded before the kernel evaluator changed. A change
-that moves any of them must say why."""
+sums were shared with the geometric side, the bytes of the ``trace-check``
+CSV, recorded before the kernel evaluator changed, and every column but
+``candidates`` of the ``systole`` CSV, recorded before the systole search
+stopped walking the traces. A change that moves any of them must say why."""
 
 import hashlib
 import json
@@ -64,6 +65,17 @@ PLANCHEREL_SUM_HEX = {
 TRACE_CHECK_SUPPORTS = "0.25,0.5,0.75,1,2,4,8"
 TRACE_CHECK_CSV_SHA256 = "8e7fee95fd21e07c970295a14de4e29c62f9975f70a4817c8802903e8a1b3706"
 
+# the ``systole`` CSV row without its ``candidates`` column, keyed by (level, entry bound)
+SYSTOLE_COLUMNS = ("level,entry_bound,min_abs_trace,expected_trace,"
+                   "witness_a,witness_b,witness_c,witness_d,passed")
+SYSTOLE_ROWS = {
+    (3, 1450): "3,1450,7,7,-8,3,-3,1,true",
+    (5, 2000): "5,2000,23,23,-24,5,-5,1,true",
+    (5, 2900): "5,2900,23,23,-24,5,-5,1,true",
+    (7, 4400): "7,4400,47,47,-48,7,-7,1,true",
+    (12, 3000): "12,3000,142,142,-143,12,-12,1,true",
+}
+
 
 @pytest.mark.parametrize("rule,stop,radius", sorted(SCHEDULE_CSV_SHA256))
 def test_schedule_csv_bytes_pinned(capsys, tmp_path, rule, stop, radius):
@@ -91,3 +103,13 @@ def test_trace_check_csv_bytes_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TRACE_CHECK_CSV_SHA256
+
+
+@pytest.mark.parametrize("level,bound", sorted(SYSTOLE_ROWS))
+def test_systole_row_pinned(capsys, level, bound):
+    code = main(["systole", "--level", str(level), "--entry-bound", str(bound)])
+    header, row = capsys.readouterr().out.splitlines()
+    assert code == 0
+    keep = [i for i, col in enumerate(header.split(",")) if col != "candidates"]
+    assert ",".join(header.split(",")[i] for i in keep) == SYSTOLE_COLUMNS
+    assert ",".join(row.split(",")[i] for i in keep) == SYSTOLE_ROWS[level, bound]
