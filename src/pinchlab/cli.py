@@ -6,7 +6,7 @@ Floats are serialized with 17 significant digits in lowercase scientific
 notation so golden files are byte-stable across IEEE-754 platforms; the only
 nondeterministic field is meta.wall_clock_s in JSON output. Files are written
 atomically (temp file + rename). Exit codes: 0 success, 1 identity or
-assertion failure, 2 usage, 3 refused as infeasible.
+assertion failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -30,14 +30,7 @@ from .convergence import Schedule, classify_schedule
 from .errors import PinchlabError
 from .traceformula import bump, plancherel_integral, transform_profile
 
-_SEARCH_CAP = 10**7  # refuse systole walks projected beyond this many (trace, a) pairs, ~3 s
-
-
 class _UsageError(Exception):
-    pass
-
-
-class _Refusal(Exception):
     pass
 
 
@@ -139,11 +132,6 @@ def _cmd_systole(params: dict):
             f"in the box, got {bound}"
         )
     candidates = search_size_estimate(level, bound)
-    if candidates > _SEARCH_CAP:
-        raise _Refusal(
-            f"projected {candidates} candidates exceeds the cap {_SEARCH_CAP}; "
-            "shrink entry-bound"
-        )
     found = min_hyperbolic_trace(level, bound)
     expected = level * level - 2
     w = witness_matrix(level)
@@ -353,9 +341,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except _Refusal as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 3
     except PinchlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,13 @@
 
 Index, genus, cusp count, and area of the level-N surface are computed in
 exact rational arithmetic; floating point enters only through the systole
-length and the area. An exhaustive walk over the traces, linear in the entry
-bound, acts as a falsifier for the systole trace within an entry-bounded box.
+length and the area.
+
+Every level-N matrix has trace tr = 2 (mod N^2): with a = 1 + Nx and
+d = 1 + Ny, ad - 1 = N(x + y) + N^2 xy, and N^2 divides ad - 1 = bc exactly
+when N divides x + y, that is when N^2 divides tr - 2. So among
+3 <= |tr| <= N^2 - 2 only tr = 2 - N^2 can occur, and the systole falsifier
+searches that one trace exhaustively within an entry-bounded box.
 """
 
 from __future__ import annotations
@@ -135,49 +140,47 @@ def _require_box(level, entry_bound) -> tuple[int, int]:
     return n, bound
 
 
-def _walk_traces(n: int) -> list[int]:
-    """Traces tr = 2 (mod N) with 3 <= |tr| <= N^2 - 2, by increasing |tr|."""
-    return sorted((tr for tr in range(2 - n * n, n * n - 1, n) if abs(tr) >= 3), key=abs)
-
-
-def _diagonal_entries(n: int, bound: int, tr: int) -> range:
-    """Every a = 1 (mod N) with |a| <= B and |tr - a| <= B."""
-    low, high = max(-bound, tr - bound), min(bound, tr + bound)
-    return range(low + (1 - low) % n, high + 1, n)
+def _diagonal_entries(n: int, bound: int):
+    """Every a = 1 + jN with a and d = 2 - N^2 - a in [-B, B], so
+    -K <= j <= K - N with K = (B + 1) // N, by increasing |j| from a = 1."""
+    reach = (bound + 1) // n
+    for j in range(reach + 1):
+        if j <= reach - n:
+            yield 1 + j * n
+        if j:
+            yield 1 - j * n
 
 
 def search_size_estimate(level, entry_bound) -> int:
-    """Number of (trace, a) pairs the minimal-trace walk visits when it runs
-    to its last trace N^2 - 2: an upper bound on its work, linear in B.
-    Closed form per trace, so the cost is O(N) whatever the box."""
+    """Number of diagonal entries a the minimal-trace search visits at most:
+    the 2K - N + 1 values a = 1 (mod N) of the one trace 2 - N^2 with a and d
+    in the box, K = (B + 1) // N. Exact integer arithmetic, any B."""
     n, bound = _require_box(level, entry_bound)
-    return sum(len(_diagonal_entries(n, bound, tr)) for tr in _walk_traces(n))
+    return 2 * ((bound + 1) // n) - n + 1
 
 
 def min_hyperbolic_trace(level, entry_bound) -> int | None:
     """Minimal |trace| > 2 over level-N matrices with entries bounded by
-    ``entry_bound``, by an exhaustive walk over the traces.
+    ``entry_bound``, by an exhaustive search of the one trace that can reach it.
 
-    Walks tr = 2 (mod N) by increasing |tr| from 3 to N^2 - 2, both signs.
-    For each trace it visits every a = 1 (mod N) with d = tr - a in the box,
-    and keeps a only if N^2 divides ad - 1, as it must when N | b and N | c.
-    Then bc = ad - 1 with b = Nx and c = Ny asks for xy = m = (ad - 1)/N^2;
-    the pair fits the box iff |m| has a divisor x with ceil(|m|/K) <= x <=
-    min(K, isqrt|m|), K = floor(B/N) (x <= |y| up to swapping b and c, whose
-    signs are free). The first hit is the minimum. The cost is linear in B:
-    about 4B pairs, as ``search_size_estimate`` counts. Returns None only if
-    nothing hits by |tr| = N^2 - 2, which cannot happen when the
+    Every level-N trace is 2 (mod N^2), since with a = 1 + Nx and d = 1 + Ny,
+    ad - 1 = N(x + y) + N^2 xy is divisible by N^2 exactly when N | x + y.
+    Among 3 <= |tr| <= N^2 - 2 only tr = 2 - N^2 meets this, so only that
+    trace is searched. For each a = 1 (mod N) with a and d = tr - a in the
+    box, visited from a = 1 outward in both directions, bc = ad - 1 with
+    b = Nx and c = Ny asks for xy = m = (ad - 1)/N^2; the pair fits the box
+    iff |m| has a divisor x with ceil(|m|/K) <= x <= min(K, isqrt|m|),
+    K = floor(B/N) (x <= |y| up to swapping b and c, whose signs are free).
+    The first hit gives the minimum; a = 1 hits at once, as (1, N; -N, 1 - N^2).
+    Returns None only if no a hits, which cannot happen when the
     precondition entry_bound >= N^2 holds, since the witness lies in the box.
     """
     n, bound = _require_box(level, entry_bound)
     k = bound // n
     nn = n * n
-    for tr in _walk_traces(n):
-        for a in _diagonal_entries(n, bound, tr):
-            num = a * (tr - a) - 1
-            if num % nn:
-                continue
-            m = abs(num) // nn
-            if m and any(m % x == 0 for x in range(-(-m // k), min(k, math.isqrt(m)) + 1)):
-                return abs(tr)
+    tr = 2 - nn
+    for a in _diagonal_entries(n, bound):
+        m = abs(a * (tr - a) - 1) // nn  # exact by the congruence; m > 0 as |tr| > 2
+        if any(m % x == 0 for x in range(-(-m // k), min(k, math.isqrt(m)) + 1)):
+            return abs(tr)
     return None

@@ -63,10 +63,13 @@ class GeodesicClass:
     multiplicity: int
 
     def __post_init__(self) -> None:
-        _require_positive("primitive_length", self.primitive_length)
+        length = _require_positive("length", self.length)
+        primitive = _require_positive("primitive_length", self.primitive_length)
         if _as_int("multiplicity", self.multiplicity) < 1:
             raise DomainError(f"multiplicity must be >= 1, got {self.multiplicity!r}")
-        ratio = self.length / self.primitive_length
+        ratio = length / primitive
+        if not math.isfinite(ratio):
+            raise DomainError(f"length / primitive_length overflows: {length!r} / {primitive!r}")
         k = round(ratio)
         if k < 1 or abs(ratio - k) > 1e-9 * k:
             raise DomainError(
@@ -397,15 +400,6 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
             raise DomainError(f"class length {cls.length!r} exceeds radius {r!r}")
         terms.append(cls.multiplicity * cls.primitive_length / _sinh_half(cls.length))
     return CertifiedValue(math.fsum(terms), 8.0 * _EPS * math.fsum(abs(x) for x in terms))
-
-
-def plancherel_normalized(level, pinch_length, radius) -> CertifiedValue:
-    """The criterion sum over the complete short spectrum divided by the
-    surface volume; the quantity that must vanish along a convergent family."""
-    ladder = short_spectrum(level, pinch_length, radius)
-    vol = compacted_surface(level, pinch_length).volume
-    s = plancherel_sum(ladder, radius)
-    return CertifiedValue(float(s) / vol, s.radius / vol + 2e-16 * abs(float(s)) / vol)
 
 
 def bs_ratio(level, pinch_length, radius) -> float:

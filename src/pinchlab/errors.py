@@ -30,7 +30,10 @@ class InternalInvariantViolation(PinchlabError):
 
 
 def _require_positive(name: str, x) -> float:
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
     return x

@@ -46,7 +46,10 @@ def length_from_trace(abs_trace: float) -> float:
     Raises NotHyperbolic for |trace| <= 2 (elliptic or parabolic classes have
     no geodesic length).
     """
-    x = float(abs_trace)
+    try:
+        x = float(abs_trace)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise DomainError(f"abs_trace must be finite, got {x!r}")
     if x <= 2.0:

@@ -26,7 +26,6 @@ from .convergence import (
     _ladder_sum,
     _tail_span,
     compacted_surface,
-    short_spectrum,
     validity_check,
 )
 from .errors import DomainError, _as_int, _require_positive
@@ -515,16 +514,15 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     profile = transform_profile(phi)
     radius = profile.g_support
-    entries = [(j, schedule.levels[j - 1], schedule.pinch_lengths[j - 1])
-               for j in range(1, min(j_max, len(schedule.levels)) + 1)]
-    valid = [validity_check(level, t, radius) for _, level, t in entries]
-    sides = iter(_ladder_sides([short_spectrum(level, t, radius)
-                                for (_, level, t), ok in zip(entries, valid) if ok], profile))
-    rows = []
-    for (j, level, t), ok in zip(entries, valid):
+    entries, ladders = [], []
+    for j in range(1, min(j_max, len(schedule.levels)) + 1):
+        level, t = schedule.levels[j - 1], schedule.pinch_lengths[j - 1]
+        surface = compacted_surface(level, t)
+        ok = validity_check(level, t, radius)
         if ok:
-            volume = compacted_surface(level, t).volume
-            rows.append(VanishingRow(j, level, t, float(next(sides)) / volume, True))
-        else:
-            rows.append(VanishingRow(j, level, t, math.nan, False))
-    return rows
+            ladders.append(PinchLadder(t, radius, surface.pinched_count))
+        entries.append((j, level, t, surface.volume, ok))
+    sides = iter(_ladder_sides(ladders, profile))
+    return [VanishingRow(j, level, t, float(next(sides)) / volume, True) if ok
+            else VanishingRow(j, level, t, math.nan, False)
+            for j, level, t, volume, ok in entries]

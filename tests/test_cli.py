@@ -80,10 +80,21 @@ def test_systole_pass(capsys):
         "-8", "3", "-3", "1")
 
 
-def test_systole_refuses_oversized_search(capsys):
-    code, out, err = run(capsys, "systole", "--level", "200", "--entry-bound", "4000000")
-    assert code == 3 and out == ""
-    assert "candidates" in err
+def test_systole_large_box_passes(capsys):
+    code, out, _ = run(capsys, "systole", "--level", "200", "--entry-bound", "4000000")
+    assert code == 0
+    _, rows, _ = parse_csv(out)
+    (row,) = rows
+    assert row["min_abs_trace"] == "39998" and row["passed"] == "true"
+
+
+def test_systole_entry_bound_beyond_int64(capsys):
+    code, out, _ = run(capsys, "systole", "--level", "3", "--entry-bound", str(10**20))
+    assert code == 0
+    _, rows, _ = parse_csv(out)
+    (row,) = rows
+    assert row["candidates"] == "66666666666666666664"
+    assert row["min_abs_trace"] == "7" and row["passed"] == "true"
 
 
 def test_systole_rejects_small_bound(capsys):

@@ -14,7 +14,7 @@ from pinchlab import (
     surface_data,
     witness_matrix,
 )
-from pinchlab.cli import _SEARCH_CAP
+from pinchlab.congruence import _diagonal_entries
 
 mp.mp.dps = 50
 
@@ -137,17 +137,39 @@ def _box_enumeration_min_trace(n, bound):
     return best
 
 
-def _brute_force_pair_count(n, bound):
-    """(trace, a) pairs of the full walk: traces tr = 2 (mod N) with
-    3 <= |tr| <= N^2 - 2, and a = 1 (mod N) with |a| <= B and |tr - a| <= B."""
-    count = 0
-    for tr in range(-(n * n - 2), n * n - 1):
-        if abs(tr) < 3 or (tr - 2) % n:
-            continue
-        for a in range(-bound, bound + 1):
-            if (a - 1) % n == 0 and abs(tr - a) <= bound:
-                count += 1
-    return count
+def _brute_force_diagonal(n, bound):
+    """The a = 1 (mod N) of the one searched trace tr = 2 - N^2 with
+    |a| <= B and |tr - a| <= B."""
+    tr = 2 - n * n
+    return [a for a in range(-bound, bound + 1) if (a - 1) % n == 0 and abs(tr - a) <= bound]
+
+
+def _box_enumeration_traces(n, bound):
+    """Trace of every level-N matrix in the box: a = 1 and b = 0 (mod N),
+    d solved from the determinant congruence mod |b|, c derived exactly.
+    b = 0 forces a = d = 1 (a = d = -1 is not 1 mod N), with c = 0 (mod N) free."""
+    traces = [2] * (2 * (bound // n) + 1)
+    a_first = -bound + ((1 + bound) % n)
+    for a in range(a_first, bound + 1, n):
+        for b in range(-(bound // n) * n, bound + 1, n):
+            if b == 0 or math.gcd(a, b) != 1:
+                continue  # det 1 forces gcd(a, b) = 1
+            d0 = pow(a, -1, abs(b))
+            d_first = -bound + ((d0 + bound) % abs(b))
+            for d in range(d_first, bound + 1, abs(b)):
+                c = (a * d - 1) // b
+                if c % n == 0 and -bound <= c <= bound:
+                    assert is_in_gamma(IntegerMatrix2(a, b, c, d), n)
+                    traces.append(a + d)
+    return traces
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_every_level_trace_is_two_mod_n_squared(n):
+    # the premise of the search: only tr = 2 - N^2 can reach 3 <= |tr| <= N^2 - 2
+    traces = _box_enumeration_traces(n, 2 * n * n)
+    assert len(traces) > 100 and 2 - n * n in traces
+    assert all((tr - 2) % (n * n) == 0 for tr in traces)
 
 
 def test_min_trace_against_brute_force():
@@ -169,7 +191,7 @@ def test_min_trace_known_values(n, expected):
 
 
 def test_min_trace_large_box():
-    # 1.35e8 candidates for the box enumeration; 3.6e4 pairs for the walk
+    # 1.35e8 candidates for the box enumeration; at most 3996 diagonal entries for the search
     assert min_hyperbolic_trace(5, 10**4) == 23
 
 
@@ -181,7 +203,9 @@ def test_min_trace_requires_room():
 @pytest.mark.parametrize("n,bound", [(3, 9), (3, 40), (4, 16), (4, 57), (5, 25), (5, 90),
                                      (7, 49), (7, 300), (10, 100), (10, 333)])
 def test_search_size_estimate_counts_walk_pairs(n, bound):
-    assert search_size_estimate(n, bound) == _brute_force_pair_count(n, bound)
+    entries = list(_diagonal_entries(n, bound))
+    assert entries[0] == 1 and sorted(entries) == _brute_force_diagonal(n, bound)
+    assert search_size_estimate(n, bound) == len(entries)
 
 
 def test_search_size_estimate_grows():
@@ -203,7 +227,9 @@ def test_search_size_estimate_rejects_small_bounds():
                 search_size_estimate(n, bad)
 
 
-def test_search_cap_refuses_oversized_and_admits_benchmark_boxes():
-    assert search_size_estimate(200, 4 * 10**6) > _SEARCH_CAP
-    for n, bound in ((3, 1500), (5, 3000), (7, 4500)):
-        assert search_size_estimate(n, bound) <= _SEARCH_CAP
+def test_search_beyond_int64():
+    # a = 1 (mod 3) in [-10^20 + 2, 10^20 - 9]: (2 * 10^20 - 8) / 3 of them
+    assert search_size_estimate(3, 10**20) == 66666666666666666664
+    # the search stops at a = 1, so the box size does not matter
+    for n, bound in ((3, 10**20), (3, 10**12), (100, 10**6)):
+        assert min_hyperbolic_trace(n, bound) == n * n - 2

@@ -19,7 +19,6 @@ from pinchlab import (
     harmonic_sum,
     other_geodesic_floor,
     pinch_ladder,
-    plancherel_normalized,
     plancherel_sum,
     sandwich_bounds,
     short_spectrum,
@@ -167,8 +166,11 @@ def test_huge_ladder_count():
 
 
 def test_geodesic_class_rejects_non_multiple():
-    with pytest.raises(DomainError):
-        GeodesicClass(length=0.5, primitive_length=0.2, multiplicity=1)
+    # a non-finite length or ratio is refused too, not left to round()
+    for length, primitive in ((0.5, 0.2), (math.nan, 1.0), (math.inf, 1.0),
+                              (1e300, 1e-300), (10**400, 1.0)):
+        with pytest.raises(DomainError):
+            GeodesicClass(length=length, primitive_length=primitive, multiplicity=1)
 
 
 # ---------------------------------------------------------------- criterion sums
@@ -287,14 +289,6 @@ def test_bracket_matches_exact_summation():
 def test_bracket_radius_tiny_in_deep_pinch():
     val = plancherel_sum(pinch_ladder(math.exp(-20.0), 1.0, 6), 1.0)
     assert val.radius <= 1e-9 * float(val)
-
-
-def test_plancherel_normalized():
-    got = plancherel_normalized(5, 0.2, 1.0)
-    ladder = short_spectrum(5, 0.2, 1.0)
-    ref = exact_ladder_sum(0.2, 5, 6) / compacted_surface(5, 0.2).volume
-    assert float(got) == pytest.approx(ref, rel=1e-12)
-    assert float(plancherel_normalized(5, 0.3, 0.2)) == 0.0
 
 
 # ---------------------------------------------------------------- ratios and sums

@@ -36,8 +36,9 @@ def test_length_from_trace_rejects_non_hyperbolic():
     for bad in (2.0, 1.5, 0.0, -3.0):
         with pytest.raises(NotHyperbolic):
             length_from_trace(bad)
-    with pytest.raises(DomainError):
-        length_from_trace(math.inf)
+    for bad in (math.inf, 10**400):
+        with pytest.raises(DomainError):
+            length_from_trace(bad)
 
 
 def test_trace_round_trip():
