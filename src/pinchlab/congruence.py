@@ -1,8 +1,8 @@
 """Exact arithmetic for principal congruence subgroups of SL(2, Z).
 
-Index, genus, cusp count, and area of the level-N surface are computed in
-exact rational arithmetic; floating point enters only through the systole
-length and the area.
+Index, genus and cusp count of the level-N surface are computed in exact
+integer arithmetic; floating point enters only through the systole length
+and the area.
 
 Every level-N matrix has trace tr = 2 (mod N^2): with a = 1 + Nx and
 d = 1 + Ny, ad - 1 = N(x + y) + N^2 xy, and N^2 divides ad - 1 = bc exactly
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InternalInvariantViolation, _as_int, _as_level
@@ -74,30 +73,33 @@ def index_d(level) -> int:
         raise DomainError(f"level must be >= 2, got {n}")
     if n == 2:
         return 12  # the -I identification makes level 2 special
-    value = Fraction(n) ** 3
+    value = n**3
     for p in _distinct_primes(n):
-        value *= 1 - Fraction(1, p * p)
-    if value.denominator != 1:
-        raise InternalInvariantViolation(f"index of level {n} is not integral: {value}")
-    return int(value)
+        # p^3 divides N^3, and the earlier primes' factors are prime to p
+        value, rest = divmod(value, p * p)
+        if rest:
+            raise InternalInvariantViolation(f"index of level {n} is not integral")
+        value *= p * p - 1
+    return value
 
 
 @lru_cache(maxsize=None)
 def _surface_data_cached(n: int) -> CongruenceSurfaceData:
     d = index_d(n)
-    genus = 1 + Fraction(d * (n - 6), 24 * n)
-    cusps = Fraction(d, 2 * n)
-    if genus.denominator != 1:
-        raise InternalInvariantViolation(f"genus of level {n} is not integral: {genus}")
-    if cusps.denominator != 1:
-        raise InternalInvariantViolation(f"cusp count of level {n} is not integral: {cusps}")
-    if int(cusps) % 2 != 0:
+    genus, rest = divmod(d * (n - 6), 24 * n)
+    if rest:
+        raise InternalInvariantViolation(
+            f"genus of level {n} is not integral: 1 + {d * (n - 6)}/{24 * n}")
+    cusps, rest = divmod(d, 2 * n)
+    if rest:
+        raise InternalInvariantViolation(f"cusp count of level {n} is not integral: {d}/{2 * n}")
+    if cusps % 2 != 0:
         raise InternalInvariantViolation(f"cusp count of level {n} is odd: {cusps}")
     return CongruenceSurfaceData(
         level=n,
         index_d=d,
-        genus=int(genus),
-        cusps=int(cusps),
+        genus=1 + genus,
+        cusps=cusps,
         systole=length_from_trace(n * n - 2),
         # 6 divides d, so d/6 is an exact integer and this rounds identically
         # to the compacted-surface volume 4*pi*(genus' - 1)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -58,6 +59,30 @@ def test_surface_data_consistency(n):
     ref = float(2 * mp.acosh(mp.mpf(n * n - 2) / 2))
     assert abs(sd.systole - ref) <= 1e-14 * ref
     assert sd.systole == length_from_trace(float(n * n - 2))
+
+
+def test_integer_invariants_match_rational_formulas():
+    # d = N^3 prod(1 - p^-2), g = 1 + d(N - 6)/24N and b = d/2N in Fractions,
+    # with the primes of each N from a sieve
+    limit = 10**4
+    primes_of = [[] for _ in range(limit + 1)]
+    for p in range(2, limit + 1):
+        if not primes_of[p]:
+            for m in range(p, limit + 1, p):
+                primes_of[m].append(p)
+    bad = []
+    for n in range(3, limit + 1):
+        d = Fraction(n) ** 3
+        for p in primes_of[n]:
+            d *= 1 - Fraction(1, p * p)
+        sd = surface_data(n)
+        got = (index_d(n), sd.index_d, sd.genus, sd.cusps)
+        if (got != (d, d, 1 + d * (n - 6) / (24 * n), d / (2 * n))
+                or any(type(v) is not int for v in got)
+                or sd.cusps % 2
+                or sd.index_d != 12 * (2 * sd.genus - 2 + sd.cusps)):
+            bad.append((n, got))
+    assert bad == []
 
 
 def test_surface_data_rejects_level_two_and_below():

@@ -1,19 +1,82 @@
-"""numpy is the only third-party module the package loads."""
+"""What the package loads and binds, each case in a fresh interpreter where
+the import matters: numpy is the only third-party module it loads, and only
+the numeric exports and subcommands load it; every export still resolves."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import pinchlab
+
 ROOT = Path(__file__).resolve().parent.parent
+SUBMODULES = ("certified", "congruence", "convergence", "errors", "hyperbolic", "traceformula")
 
 
-def test_import_loads_no_scipy():
+def _fresh(code: str, result: str):
+    """Run ``code`` in a fresh interpreter, then evaluate ``result`` there
+    and return it through JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, pinchlab; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = f"import json, sys; {code}; print(json.dumps({result}), file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def _loaded(code: str, top: str) -> list[str]:
+    """The modules of package ``top`` loaded after ``code`` ran in a fresh interpreter."""
+    return _fresh(code, f"sorted(m for m in sys.modules if m.split('.')[0] == {top!r})")
+
+
+def test_import_loads_no_scipy():
+    assert _loaded("from pinchlab import *", "scipy") == []
+
+
+def test_exact_layer_loads_no_numpy():
+    assert _loaded("import pinchlab; pinchlab.surface_data(7)", "numpy") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--n-min", "3", "--n-max", "12"],
+    ["systole", "--level", "5", "--entry-bound", "2900", "--format", "json"],
+])
+def test_exact_subcommands_load_no_numpy(argv):
+    assert _loaded(f"from pinchlab.cli import main; main({argv!r})", "numpy") == []
+
+
+def test_schedule_loads_numpy(tmp_path):
+    # the checks above can see an import: the numeric subcommands do load numpy
+    config = tmp_path / "schedule.json"
+    config.write_text('{"name": "r", "levels": {"kind": "range", "start": 3, "stop": 6},'
+                      ' "pinch": {"rule": "reciprocal"}}')
+    argv = ["schedule", "--config", str(config), "--radius", "1", "--j-max", "4"]
+    assert "numpy" in _loaded(f"from pinchlab.cli import main; main({argv!r})", "numpy")
+
+
+def test_every_export_is_its_module_object():
+    # touched first on the package, then compared with every submodule that holds the name
+    code = ("import importlib, pinchlab; "
+            "got = {n: getattr(pinchlab, n) for n in pinchlab.__all__}; "
+            f"subs = [importlib.import_module('pinchlab.' + m) for m in {SUBMODULES!r}]")
+    result = ("[n for n in pinchlab.__all__ "
+              "if not [s for s in subs if hasattr(s, n)] "
+              "or any(getattr(s, n) is not got[n] for s in subs if hasattr(s, n))]")
+    assert _fresh(code, result) == []
+
+
+def test_star_import_and_dir_list_every_export():
+    code = "import pinchlab; listed = dir(pinchlab); ns = {}; exec('from pinchlab import *', ns)"
+    result = "[sorted(set(pinchlab.__all__) - set(listed)), sorted(set(pinchlab.__all__) - set(ns))]"
+    assert _fresh(code, result) == [[], []]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'pinchlab' has no attribute 'no_such'$"):
+        pinchlab.no_such
+    with pytest.raises(ImportError):
+        from pinchlab import no_such  # noqa: F401
