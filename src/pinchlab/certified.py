@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import math
-
-from .errors import DomainError
+from .errors import DomainError, _as_real
 
 
 class CertifiedValue(float):
@@ -19,8 +17,8 @@ class CertifiedValue(float):
     radius: float
 
     def __new__(cls, value: float, radius: float) -> "CertifiedValue":
-        radius = float(radius)
-        if not (math.isfinite(radius) and radius >= 0.0):
+        radius = _as_real("error radius", radius)
+        if not radius >= 0.0:
             raise DomainError(f"error radius must be finite and >= 0, got {radius!r}")
         obj = super().__new__(cls, value)
         obj.radius = radius

@@ -199,9 +199,11 @@ def _schedule_from_config(doc):
     try:
         if rule == "explicit":
             values = _require_field(pinch_spec, "pinch.", "values")
-            if not isinstance(values, list):
-                raise _UsageError("config field 'pinch.values' must be a list")
-            return Schedule.explicit(name, levels, [float(v) for v in values])
+            # JSON numbers only: true is not the length 1.0, nor the string "0.5" a length
+            if not isinstance(values, list) or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+                raise _UsageError("config field 'pinch.values' must be a list of numbers")
+            return Schedule.explicit(name, levels, values)
         return Schedule.from_rule(name, levels, rule)
     except PinchlabError as exc:
         raise _UsageError(f"config rejected: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from .certified import CertifiedValue
 from .congruence import surface_data
 from .errors import (DomainError, InternalInvariantViolation, ValidityError, _as_int,
-                     _as_level, _require_positive)
+                     _as_level, _as_real, _require_positive)
 from .hyperbolic import _sinh_half, crossing_length_bound, distortion_bound, length_from_trace
 
 # Decimal-intended floats get a 1e-12 relative grace at the cutoff, so a
@@ -441,8 +441,8 @@ def sandwich_bounds(level, pinch_length, radius) -> tuple[float, float]:
     """
     n = _as_level(level)
     t = _validate_pinch(pinch_length)
-    r = float(radius)
-    if not (math.isfinite(r) and r >= 1.0):
+    r = _as_real("radius", radius)
+    if not r >= 1.0:
         raise DomainError(f"radius must be >= 1 for the explicit constants, got {radius!r}")
     if not t < 1.0:
         raise DomainError(f"pinch length must be < min(1, radius) = 1, got {t!r}")

@@ -1,7 +1,8 @@
 """Typed errors, and the one owner of each input rule.
 
 Every public call checks its arguments through the validators here:
-``_require_positive`` for positive finite reals (lengths, radii, supports),
+``_as_real`` for finite reals (what float() cannot read, and integers past the
+float range, refused), ``_require_positive`` for positive ones (lengths, radii, supports),
 ``_as_int`` for integers (bools, NaN and infinities refused) and ``_as_level`` for torsion-free
 levels N >= 3. Rules that hold for one call only stay with that call.
 """
@@ -29,12 +30,21 @@ class InternalInvariantViolation(PinchlabError):
     """An exact-arithmetic identity failed; indicates a bug, never user input."""
 
 
-def _require_positive(name: str, x) -> float:
+def _as_real(name: str, x) -> float:
     try:
-        x = float(x)
+        r = float(x)
     except OverflowError:  # an integer past the float range
-        x = math.inf
-    if not (math.isfinite(x) and x > 0.0):
+        r = math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a finite real, got {x!r}") from None
+    if not math.isfinite(r):
+        raise DomainError(f"{name} must be a finite real, got {r!r}")
+    return r
+
+
+def _require_positive(name: str, x) -> float:
+    x = _as_real(name, x)
+    if not x > 0.0:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
     return x
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, NotHyperbolic, _as_int, _require_positive
+from .errors import DomainError, NotHyperbolic, _as_int, _as_real, _require_positive
 
 LOG2 = math.log(2.0)
 
@@ -46,12 +46,7 @@ def length_from_trace(abs_trace: float) -> float:
     Raises NotHyperbolic for |trace| <= 2 (elliptic or parabolic classes have
     no geodesic length).
     """
-    try:
-        x = float(abs_trace)
-    except OverflowError:  # an integer past the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise DomainError(f"abs_trace must be finite, got {x!r}")
+    x = _as_real("abs_trace", abs_trace)
     if x <= 2.0:
         raise NotHyperbolic(f"|trace| = {x!r} is not > 2; no closed geodesic")
     half = 0.5 * x
@@ -117,8 +112,8 @@ def injrad_from_collar(length: float, offset: float) -> float:
     """Injectivity radius at distance ``offset`` from a geodesic of the given
     length, from sinh(InjRad) = sinh(l/2)*cosh(offset)."""
     l = _require_positive("length", length)
-    lam = float(offset)
-    if not (math.isfinite(lam) and lam >= 0.0):
+    lam = _as_real("offset", offset)
+    if not lam >= 0.0:
         raise DomainError(f"offset must be a nonnegative finite real, got {offset!r}")
     y = 0.5 * l
     if y + lam > 350.0:
@@ -143,7 +138,7 @@ def distortion_bound(eps: float) -> float:
 
     Only valid for 0 < eps < 1/2; outside that window raises DomainError.
     """
-    e = float(eps)
-    if not (math.isfinite(e) and 0.0 < e < 0.5):
+    e = _as_real("eps", eps)
+    if not 0.0 < e < 0.5:
         raise DomainError(f"eps must lie strictly in (0, 1/2), got {eps!r}")
     return 1.0 + 1.25 * e * e

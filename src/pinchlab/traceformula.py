@@ -28,7 +28,7 @@ from .convergence import (
     compacted_surface,
     validity_check,
 )
-from .errors import DomainError, _as_int, _require_positive
+from .errors import DomainError, _as_int, _as_real, _require_positive
 from .hyperbolic import _sinh_half
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
@@ -93,7 +93,7 @@ class TestFunction:
 def bump(S, amplitude=1.0) -> TestFunction:
     """The standard smooth bump amplitude * exp(-1/(1 - (u/S)^2)) on [0, S)."""
     S = _require_positive("S", S)
-    amplitude = float(amplitude)
+    amplitude = _as_real("amplitude", amplitude)
 
     def phi(u):
         x = np.asarray(u, dtype=float) / S
@@ -207,37 +207,61 @@ def _derivative(a: np.ndarray) -> np.ndarray:
 class TransformProfile:
     """The packaged (g, h) pair for one test function.
 
-    g is the even Chebyshev series sum_j coefficients[j] T_2j(u/L) on
-    [-L, L], L = ``g_support``, and zero at and beyond L. ``kernel_error``
-    is an estimate, not a bound, of its distance to the exact kernel: twice
-    the sum of the last 8 coefficients (the trailing plateau, after
-    Aurentz and Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017)
-    plus a few ulp of the coefficient sum for roundoff. The columns of
-    ``ladder_series`` are g, g', ..., g^(6) (derivatives in u) as full
-    Chebyshev series in T_k(u/L), k = 0..254, for the geometric side. ``h``
-    is the cosine transform of g by a fixed rule, accurate to about 1e-12
-    absolute while |r| * g_support stays at or below 1300; past that the rule
-    aliases, so both raise DomainError. ``h_batch`` is the same map over
-    float arrays.
+    Only ``g_support``, ``coefficients`` and ``h_batch`` are stored. The
+    rest is derived from them and computed on first use: the methods ``g``
+    and ``h`` and the cached ``kernel_error`` and ``ladder_series``.
 
-    ``g`` takes a float or an array. It sums the series by baby and giant
-    steps (``_split_series``): 16 Chebyshev polynomials in y = 2(u/L)^2 - 1,
-    one 8 x 16 matrix product and 8 Clenshaw steps in T_16(y), for each
-    chunk of up to 2048 points, whose column count is padded to a multiple
-    of 64. Padded, the matrix product treats every column alike, so each
-    value is independent of the other points of the call: an array call
-    gives the bits of a call per point. h reads g at its 384 nodes through
-    Clenshaw's recurrence in y (``_even_series``), which fixes the spectral
-    side's bits.
+    g is the even Chebyshev series sum_j coefficients[j] T_2j(u/L) on
+    [-L, L], L = ``g_support``, and zero at and beyond L; NaN gives NaN.
+    ``kernel_error`` is an estimate, not a bound, of its distance to the
+    exact kernel: twice the sum of the last 8 coefficients (the trailing
+    plateau, after Aurentz and Trefethen, "Chopping a Chebyshev series", ACM
+    TOMS 2017) plus a few ulp of the coefficient sum for roundoff. The
+    columns of ``ladder_series`` are g, g', ..., g^(6) (derivatives in u) as
+    full Chebyshev series in T_k(u/L), k = 0..254, for the geometric side.
+    ``h_batch`` is the cosine transform of g over float arrays by a fixed
+    rule, accurate to about 1e-12 absolute while |r| * g_support stays at or
+    below 1300; past that the rule aliases and it raises DomainError. ``h``
+    is ``h_batch`` at one point, so a ``dataclasses.replace`` of ``h_batch``
+    reaches ``h`` too.
+
+    ``g`` takes a float or an array and sums the series by baby and giant
+    steps (``_split_series``), so an array call gives the bits of a call per
+    point. h reads g at its 384 nodes through Clenshaw's recurrence in y
+    (``_even_series``), which fixes the spectral side's bits.
     """
 
-    g: Callable
-    h: Callable[[float], float]
     g_support: float
     coefficients: np.ndarray
-    kernel_error: float
-    ladder_series: np.ndarray
     h_batch: Callable[[np.ndarray], np.ndarray]
+
+    def g(self, u):
+        L = self.g_support
+        arr = np.abs(np.asarray(u, dtype=float))
+        out = np.where(arr >= L, 0.0, _split_series(self._split, np.minimum(arr, L) / L))
+        if out.ndim == 0:
+            return float(out)
+        return out
+
+    def h(self, r: float) -> float:
+        return float(self.h_batch(np.asarray([abs(float(r))]))[0])
+
+    @cached_property
+    def kernel_error(self) -> float:
+        c = self.coefficients
+        return 2.0 * float(np.sum(np.abs(c[-_CHOP:]))) + 8.0 * _EPS * float(np.sum(np.abs(c)))
+
+    @cached_property
+    def ladder_series(self) -> np.ndarray:
+        columns = [np.zeros(_DEGREE)]
+        columns[0][0::2] = self.coefficients
+        for _ in range(6):
+            columns.append(_derivative(columns[-1]) / self.g_support)
+        return np.stack(columns, axis=1)
+
+    @cached_property
+    def _split(self) -> np.ndarray:
+        return _giant_split(self.coefficients)
 
     @cached_property
     def _g0(self) -> float:
@@ -251,8 +275,8 @@ class TransformProfile:
 
 
 def transform_profile(phi: TestFunction) -> TransformProfile:
-    """Evaluate g once on 128 Chebyshev points of [0, L] and package the
-    series-backed g and h.
+    """Evaluate g once on 128 Chebyshev points of [0, L] and package its
+    series with the rule for h.
 
     Each value g(u) = 2 int_0^(s_max) phi(2 cosh u - 2 + s^2) ds takes a
     128-point Gauss-Legendre rule in s. The values fix the 128 even
@@ -271,27 +295,10 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
     u_grid = v[:, None] + (s_max[:, None] ** 2) * (xi[None, :] ** 2)
     gvals = 2.0 * s_max * (np.asarray(phi.evaluator(u_grid)) @ wq)
     coefficients = _TO_COEFFICIENTS @ gvals
-    kernel_error = (2.0 * float(np.sum(np.abs(coefficients[-_CHOP:])))
-                    + 8.0 * _EPS * float(np.sum(np.abs(coefficients))))
-
-    columns = [np.zeros(_DEGREE)]
-    columns[0][0::2] = coefficients
-    for _ in range(6):
-        columns.append(_derivative(columns[-1]) / L)
-    ladder_series = np.stack(columns, axis=1)
 
     xg, wg = _gauss_legendre(384)
     xg = 0.5 * L * (xg + 1.0)
     wg_g = 0.5 * L * wg * _even_series(coefficients, xg / L)
-
-    split = _giant_split(coefficients)
-
-    def g_fun(r):
-        arr = np.abs(np.asarray(r, dtype=float))
-        out = np.where(arr < L, _split_series(split, np.minimum(arr, L) / L), 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
 
     def h_batch(r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
@@ -305,18 +312,7 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
             out[blk : blk + 256] = 2.0 * (np.cos(np.outer(flat[blk : blk + 256], xg)) @ wg_g)
         return out.reshape(r.shape)
 
-    def h_fun(r: float) -> float:
-        return float(h_batch(np.asarray([abs(float(r))]))[0])
-
-    return TransformProfile(
-        g=g_fun,
-        h=h_fun,
-        g_support=L,
-        coefficients=coefficients,
-        kernel_error=kernel_error,
-        ladder_series=ladder_series,
-        h_batch=h_batch,
-    )
+    return TransformProfile(g_support=L, coefficients=coefficients, h_batch=h_batch)
 
 
 def _fermi_moment(h_batch: Callable, n: int) -> tuple[float, float]:

@@ -173,6 +173,18 @@ def test_schedule_config_errors(capsys, tmp_path):
     assert code == 2 and "cannot read config" in err
 
 
+@pytest.mark.parametrize("bad", ["abc", None, [1], True], ids=["string", "null", "list", "bool"])
+def test_schedule_rejects_non_numeric_pinch_values(capsys, tmp_path, bad):
+    # a usage error (exit 2), not a traceback (exit 1); true is not the length 1.0
+    cfg = write_config(tmp_path, {
+        "name": "handpicked",
+        "levels": {"kind": "explicit", "values": [5, 7]},
+        "pinch": {"rule": "explicit", "values": [bad, 0.1]},
+    })
+    code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1.0", "--j-max", "5")
+    assert code == 2 and "pinch.values" in err
+
+
 def test_schedule_rejects_bad_radius(capsys, tmp_path):
     cfg = write_config(tmp_path, RECIP)
     code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "-1", "--j-max", "5")

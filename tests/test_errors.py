@@ -2,7 +2,17 @@ import math
 
 import pytest
 
-from pinchlab import DomainError, harmonic_sum, surface_data, thin_part_upper_bound
+from pinchlab import (
+    CertifiedValue,
+    DomainError,
+    bump,
+    distortion_bound,
+    harmonic_sum,
+    injrad_from_collar,
+    sandwich_bounds,
+    surface_data,
+    thin_part_upper_bound,
+)
 
 
 @pytest.mark.parametrize("call", [
@@ -12,5 +22,22 @@ from pinchlab import DomainError, harmonic_sum, surface_data, thin_part_upper_bo
     lambda: thin_part_upper_bound(math.nan, 1.0),
 ])
 def test_non_finite_integers_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+HUGE = 10**400  # an integer past the float range; float() raises OverflowError
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sandwich_bounds(7, 0.01, HUGE),
+    lambda: sandwich_bounds(7, 0.01, "x"),
+    lambda: injrad_from_collar(1.0, HUGE),
+    lambda: distortion_bound(HUGE),
+    lambda: bump(1.0, amplitude=HUGE),
+    lambda: CertifiedValue(1.0, HUGE),
+], ids=["sandwich_radius", "sandwich_radius_str", "injrad_offset", "distortion_eps",
+        "bump_amplitude", "certified_radius"])
+def test_unreadable_reals_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from pinchlab import (
     GeodesicClass,
     Schedule,
     TestFunction,
+    TransformProfile,
     bump,
     compacted_surface,
     geometric_side,
@@ -157,6 +159,16 @@ def test_g_zero_beyond_support(profile1):
     assert reference_kernel(1.0, edge + 1e-9)[0] == 0.0
 
 
+def test_g_passes_nan_through(profile1):
+    # NaN is no point of the real line; reading it as "beyond the support"
+    # would turn a bad input into a plausible 0
+    assert math.isnan(profile1.g(math.nan))
+    vals = profile1.g(np.array([0.5, math.nan, -math.nan, 2.0]))
+    assert np.isnan(vals).tolist() == [False, True, True, False]
+    assert vals[0] == profile1.g(0.5) and vals[3] == 0.0
+    assert profile1.g(math.inf) == 0.0 and profile1.g(-math.inf) == 0.0
+
+
 def test_g_at_zero_against_quad():
     for S in (0.5, 1.0, 4.0):
         ref, _ = quad(lambda s: math.exp(-1.0 / (1.0 - (s * s / S) ** 2)),
@@ -205,6 +217,28 @@ def test_profile_metadata(profile1):
     # g(0) is the alternating sum of the even Chebyshev coefficients
     signs = (-1.0) ** np.arange(128)
     assert profile1.g(0.0) == pytest.approx(float(signs @ profile1.coefficients), rel=1e-14)
+
+
+def test_profile_stores_only_what_it_cannot_derive(profile1):
+    # the benchmark's traced run counts h points by replacing h_batch; every
+    # reading of h, the spectral integral's and profile.h alike, must see it
+    assert [f.name for f in dataclasses.fields(TransformProfile)] == [
+        "g_support", "coefficients", "h_batch"]
+    points = []
+
+    def counting(r):
+        points.append(np.size(r))
+        return profile1.h_batch(r)
+
+    replaced = dataclasses.replace(profile1, h_batch=counting)
+    base, wrapped = plancherel_integral(profile1), plancherel_integral(replaced)
+    assert float(wrapped).hex() == float(base).hex()
+    assert wrapped.radius.hex() == base.radius.hex()
+    assert sum(points) == 128 + 64
+    assert replaced.h(0.5) == profile1.h(0.5)
+    assert points[-1] == 1
+    assert replaced.g(0.5) == profile1.g(0.5)
+    assert replaced.kernel_error == profile1.kernel_error
 
 
 # ---------------------------------------------------------------- h
