@@ -20,7 +20,7 @@ class CertifiedValue(float):
         radius = _as_real("error radius", radius)
         if not radius >= 0.0:
             raise DomainError(f"error radius must be finite and >= 0, got {radius!r}")
-        obj = super().__new__(cls, value)
+        obj = super().__new__(cls, _as_real("value", value))
         obj.radius = radius
         return obj
 

@@ -1,10 +1,11 @@
 """Typed errors, and the one owner of each input rule.
 
 Every public call checks its arguments through the validators here:
-``_as_real`` for finite reals (what float() cannot read, and integers past the
-float range, refused), ``_require_positive`` for positive ones (lengths, radii, supports),
-``_as_int`` for integers (bools, NaN and infinities refused) and ``_as_level`` for torsion-free
-levels N >= 3. Rules that hold for one call only stay with that call.
+``_as_real`` for finite reals (text, bools, integers past the float range and
+what float() cannot read refused), ``_require_positive`` for positive ones
+(lengths, radii, supports), ``_as_int`` for integers (bools, NaN and infinities
+refused) and ``_as_level`` for torsion-free levels N >= 3. Rules that hold for
+one call only stay with that call.
 """
 
 import math
@@ -31,12 +32,18 @@ class InternalInvariantViolation(PinchlabError):
 
 
 def _as_real(name: str, x) -> float:
-    try:
-        r = float(x)
-    except OverflowError:  # an integer past the float range
-        r = math.inf
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a finite real, got {x!r}") from None
+    if type(x) is float:  # the common case skips the checks below
+        r = x
+    else:
+        try:
+            # float() reads "2", and True as 1.0
+            if type(x) is not int and isinstance(x, (str, bytes, bool)):
+                raise TypeError
+            r = float(x)
+        except OverflowError:  # an integer past the float range
+            r = math.inf
+        except (TypeError, ValueError):
+            raise DomainError(f"{name} must be a finite real, got {x!r}") from None
     if not math.isfinite(r):
         raise DomainError(f"{name} must be a finite real, got {r!r}")
     return r

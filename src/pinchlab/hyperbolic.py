@@ -33,6 +33,11 @@ def _sinh_half(length: float) -> float:
     return math.sinh(y)
 
 
+def _acosh1p(x: float) -> float:
+    # arccosh(1 + x) without cancellation for small x
+    return math.log1p(x + math.sqrt(x * (x + 2.0)))
+
+
 def _log_sinh(u: float) -> float:
     # sinh(u) = e^u (1 - e^{-2u}) / 2; the direct path overflows past u ~ 710
     if u < 300.0:
@@ -54,8 +59,7 @@ def length_from_trace(abs_trace: float) -> float:
         # acosh(h) = log(2h) - 1/(4h^2) - ...; the correction is below one ulp
         # here, and the direct path would overflow past h ~ 1e154
         return 2.0 * (math.log(half) + LOG2)
-    d = half - 1.0  # exact by Sterbenz when half is near 1; guards the arccosh
-    return 2.0 * math.log1p(d + math.sqrt(d * (half + 1.0)))
+    return 2.0 * _acosh1p(half - 1.0)  # half - 1 is exact for half < 2^53
 
 
 def collar_width(length: float) -> float:

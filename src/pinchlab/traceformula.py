@@ -29,7 +29,7 @@ from .convergence import (
     validity_check,
 )
 from .errors import DomainError, _as_int, _as_real, _require_positive
-from .hyperbolic import _sinh_half
+from .hyperbolic import _acosh1p, _sinh_half
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
 _TERMS = (_DEGREE + 1) // 2  # even coefficients, and interpolation nodes in [0, L]
@@ -107,25 +107,6 @@ def bump(S, amplitude=1.0) -> TestFunction:
     return TestFunction(evaluator=phi, support_bound=S)
 
 
-def _acosh1p(x: float) -> float:
-    # arccosh(1 + x) without cancellation for small x
-    return math.log1p(x + math.sqrt(x * (x + 2.0)))
-
-
-def _even_series(coefficients: np.ndarray, x):
-    """sum_j coefficients[j] T_2j(x), by Clenshaw's recurrence in
-    T_j(2x^2 - 1); x may be an array."""
-    y2 = 4.0 * np.square(x) - 2.0
-    b1, b2, b0 = np.zeros_like(y2), np.zeros_like(y2), np.empty_like(y2)
-    for c in coefficients[:0:-1].tolist():
-        # b0 = y2 b1 - b2 + c, in place: the loop is bound by array passes
-        np.multiply(y2, b1, out=b0)
-        b0 -= b2
-        b0 += c
-        b0, b1, b2 = b2, b0, b1
-    return 0.5 * y2 * b1 - b2 + coefficients[0]
-
-
 def _giant_split(coefficients: np.ndarray) -> np.ndarray:
     """The _GIANT x _BABY matrix R with sum_k coefficients[k] T_k(y) =
     sum_i R_i(y) T_16i(y), R_i(y) = sum_j R[i, j] T_j(y).
@@ -153,7 +134,7 @@ def _split_series(split: np.ndarray, x: np.ndarray) -> np.ndarray:
     Each chunk of up to _CHUNK points takes the baby steps V = T_0..T_15
     of y = 2x^2 - 1 by their recurrence, one matrix product Q = R @ V, and
     Clenshaw's recurrence in z = T_16(y) over the 8 rows of Q: about 60
-    numpy calls per chunk where Clenshaw in y takes 381 per call. The
+    numpy calls per chunk, whatever the number of coefficients. The
     column count is padded to a multiple of _PAD, since OpenBLAS sends
     leftover columns through other micro-kernels, whose bits differ; padded,
     every value is independent of the other points of the call.
@@ -164,7 +145,7 @@ def _split_series(split: np.ndarray, x: np.ndarray) -> np.ndarray:
         piece = flat[lo : lo + _CHUNK]
         n = piece.size
         baby = np.empty((_BABY, -(-n // _PAD) * _PAD))
-        y2 = np.zeros(baby.shape[1])  # 2y, as _even_series forms it; 0 on the padding
+        y2 = np.zeros(baby.shape[1])  # 2y = 4x^2 - 2; 0 on the padding
         np.square(piece, out=y2[:n])
         y2[:n] *= 4.0
         y2[:n] -= 2.0
@@ -225,10 +206,11 @@ class TransformProfile:
     is ``h_batch`` at one point, so a ``dataclasses.replace`` of ``h_batch``
     reaches ``h`` too.
 
-    ``g`` takes a float or an array and sums the series by baby and giant
+    ``g`` takes a real or an array and sums the series by baby and giant
     steps (``_split_series``), so an array call gives the bits of a call per
-    point. h reads g at its 384 nodes through Clenshaw's recurrence in y
-    (``_even_series``), which fixes the spectral side's bits.
+    point; the rule for h reads g at its 384 nodes through it. A real past
+    the float range lies beyond the support, where g is 0; what numpy cannot
+    read as floats raises DomainError.
     """
 
     g_support: float
@@ -237,14 +219,19 @@ class TransformProfile:
 
     def g(self, u):
         L = self.g_support
-        arr = np.abs(np.asarray(u, dtype=float))
+        try:
+            arr = np.abs(np.asarray(u, dtype=float))
+        except (OverflowError, TypeError, ValueError) as exc:
+            if isinstance(exc, OverflowError) and np.ndim(u) == 0:
+                return 0.0  # a real past the float range lies beyond the support
+            raise DomainError(f"g needs reals in the float range, got {u!r}") from None
         out = np.where(arr >= L, 0.0, _split_series(self._split, np.minimum(arr, L) / L))
         if out.ndim == 0:
             return float(out)
         return out
 
     def h(self, r: float) -> float:
-        return float(self.h_batch(np.asarray([abs(float(r))]))[0])
+        return float(self.h_batch(np.asarray([abs(_as_real("r", r))]))[0])
 
     @cached_property
     def kernel_error(self) -> float:
@@ -298,7 +285,6 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
 
     xg, wg = _gauss_legendre(384)
     xg = 0.5 * L * (xg + 1.0)
-    wg_g = 0.5 * L * wg * _even_series(coefficients, xg / L)
 
     def h_batch(r) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
@@ -312,7 +298,9 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
             out[blk : blk + 256] = 2.0 * (np.cos(np.outer(flat[blk : blk + 256], xg)) @ wg_g)
         return out.reshape(r.shape)
 
-    return TransformProfile(g_support=L, coefficients=coefficients, h_batch=h_batch)
+    profile = TransformProfile(g_support=L, coefficients=coefficients, h_batch=h_batch)
+    wg_g = 0.5 * L * wg * profile.g(xg)  # the nodes lie inside (0, L)
+    return profile
 
 
 def _fermi_moment(h_batch: Callable, n: int) -> tuple[float, float]:

@@ -100,6 +100,8 @@ def test_systole_entry_bound_beyond_int64(capsys):
 def test_systole_rejects_small_bound(capsys):
     code, _, err = run(capsys, "systole", "--level", "5", "--entry-bound", "24")
     assert code == 2
+    code, _, err = run(capsys, "systole", "--level", "2", "--entry-bound", "100")
+    assert code == 2 and "level must be >= 3" in err
 
 
 # ---------------------------------------------------------------- schedule
@@ -172,6 +174,25 @@ def test_schedule_config_errors(capsys, tmp_path):
                        "--radius", "1", "--j-max", "5")
     assert code == 2 and "cannot read config" in err
 
+    # each malformed field exits 2 and is named
+    pinch = {"rule": "reciprocal"}
+    for doc, field in [
+        ({"name": 7, "levels": RECIP["levels"], "pinch": pinch}, "'name'"),
+        ({"name": "x", "levels": {"kind": "explicit", "values": 5}, "pinch": pinch},
+         "'levels.values'"),
+        ({"name": "x", "levels": {"kind": "range", "start": "3", "stop": 10}, "pinch": pinch},
+         "'levels.start'"),
+        ({"name": "x", "levels": {"kind": "range", "start": 3, "stop": 10, "step": 0},
+          "pinch": pinch}, "'levels.step'"),
+        ({"name": "x", "levels": {"kind": "list", "values": [5]}, "pinch": pinch},
+         "'levels.kind'"),
+        ({"name": "x", "levels": {"kind": "range", "start": 10, "stop": 5}, "pinch": pinch},
+         "empty levels"),
+    ]:
+        cfg = write_config(tmp_path, doc)
+        code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "5")
+        assert code == 2 and field in err, (doc, err)
+
 
 @pytest.mark.parametrize("bad", ["abc", None, [1], True], ids=["string", "null", "list", "bool"])
 def test_schedule_rejects_non_numeric_pinch_values(capsys, tmp_path, bad):
@@ -189,6 +210,8 @@ def test_schedule_rejects_bad_radius(capsys, tmp_path):
     cfg = write_config(tmp_path, RECIP)
     code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "-1", "--j-max", "5")
     assert code == 2 and "radius" in err
+    code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "0")
+    assert code == 2 and "j-max" in err
 
 
 # ---------------------------------------------------------------- trace-check
@@ -209,6 +232,12 @@ def test_trace_check_failure_exit(capsys):
     assert code == 1
     _, rows, _ = parse_csv(out)
     assert rows[0]["passed"] == "false"
+    # a support the library refuses, and one past the reach of h, give a failure row
+    for support in ("-1", "1e41"):
+        code, out, _ = run(capsys, "trace-check", "--supports", support, "--tol", "1e-6")
+        assert code == 1
+        _, rows, _ = parse_csv(out)
+        assert rows[0]["integral"] == "nan" and rows[0]["passed"] == "false"
 
 
 def test_trace_check_usage_errors(capsys):

@@ -12,6 +12,7 @@ from pinchlab import (
     sandwich_bounds,
     surface_data,
     thin_part_upper_bound,
+    transform_profile,
 )
 
 
@@ -36,8 +37,18 @@ HUGE = 10**400  # an integer past the float range; float() raises OverflowError
     lambda: distortion_bound(HUGE),
     lambda: bump(1.0, amplitude=HUGE),
     lambda: CertifiedValue(1.0, HUGE),
+    lambda: CertifiedValue(HUGE, 0.0),
+    lambda: transform_profile(bump(1.0)).h(HUGE),
+    lambda: transform_profile(bump(1.0)).g("abc"),
+    lambda: bump("2"),
+    lambda: sandwich_bounds(7, 0.01, "2"),
+    lambda: sandwich_bounds(7, 0.01, b"2"),
+    lambda: bump(True),
+    lambda: transform_profile(bump(1.0)).h("1"),
 ], ids=["sandwich_radius", "sandwich_radius_str", "injrad_offset", "distortion_eps",
-        "bump_amplitude", "certified_radius"])
+        "bump_amplitude", "certified_radius", "certified_value", "profile_h_huge",
+        "profile_g_str", "bump_support_numeric_str", "sandwich_radius_numeric_str",
+        "sandwich_radius_bytes", "bump_support_bool", "profile_h_numeric_str"])
 def test_unreadable_reals_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -1,9 +1,15 @@
 """Regression pins: the bytes of the ``schedule`` CSV and the bits of
 ``plancherel_sum``, recorded from the code as it stood before the ladder
-sums were shared with the geometric side, the bytes of the ``trace-check``
-CSV, recorded before the kernel evaluator changed, and every column but
-``candidates`` of the ``systole`` CSV, recorded before the systole search
-stopped walking the traces. A change that moves any of them must say why."""
+sums were shared with the geometric side; every column but ``candidates``
+of the ``systole`` CSV, recorded before the systole search stopped walking
+the traces; and the bytes of the ``trace-check`` CSV. A change that moves
+any of them must say why.
+
+The ``trace-check`` bytes were re-recorded when the rule for h began to read
+the kernel through ``profile.g``, the baby/giant-step evaluator, instead of a
+Clenshaw sum of its own. ``integral`` and ``abs_error`` kept their bits;
+``integral_radius`` moved at S = 0.25, 1 and 4, by at most 1.3e-6 relative,
+through the term |B_128 - B_64| of the Fermi moment."""
 
 import hashlib
 import json
@@ -63,7 +69,7 @@ PLANCHEREL_SUM_HEX = {
 
 # sha256 of the ``trace-check`` CSV over these supports at tol 1e-9
 TRACE_CHECK_SUPPORTS = "0.25,0.5,0.75,1,2,4,8"
-TRACE_CHECK_CSV_SHA256 = "8e7fee95fd21e07c970295a14de4e29c62f9975f70a4817c8802903e8a1b3706"
+TRACE_CHECK_CSV_SHA256 = "27bf6cd5faebfd5c5a84b6733a89b3923ef865f5ffdf458e8665aa1d478113c0"
 
 # the ``systole`` CSV row without its ``candidates`` column, keyed by (level, entry bound)
 SYSTOLE_COLUMNS = ("level,entry_bound,min_abs_trace,expected_trace,"

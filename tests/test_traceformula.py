@@ -29,7 +29,6 @@ from pinchlab import (
 )
 from pinchlab.traceformula import (
     _BLOCK,
-    _even_series,
     _giant_split,
     _kernel_points,
     _split_series,
@@ -167,6 +166,8 @@ def test_g_passes_nan_through(profile1):
     assert np.isnan(vals).tolist() == [False, True, True, False]
     assert vals[0] == profile1.g(0.5) and vals[3] == 0.0
     assert profile1.g(math.inf) == 0.0 and profile1.g(-math.inf) == 0.0
+    # reals past the float range lie beyond the support too
+    assert profile1.g(10**400) == 0.0 and profile1.g(-10**400) == 0.0
 
 
 def test_g_at_zero_against_quad():
@@ -242,21 +243,6 @@ def test_profile_stores_only_what_it_cannot_derive(profile1):
 
 
 # ---------------------------------------------------------------- h
-
-def test_even_series_is_elementwise(profile1):
-    # batching kernel points across ladders relies on this: the series on a
-    # concatenation is the concatenation of the series on each piece
-    rng = np.random.default_rng(11)
-    pieces = [rng.uniform(0.0, 1.0, n) for n in (0, 1, 7, 1152, 20000)]
-    whole = _even_series(profile1.coefficients, np.concatenate(pieces))
-    parts = [_even_series(profile1.coefficients, piece) for piece in pieces]
-    assert whole.tobytes() == np.concatenate(parts).tobytes()
-    for i in (0, 5, 1000):
-        for x in (pieces[3][i], np.asarray(pieces[3][i])):
-            single = _even_series(profile1.coefficients, x)
-            assert np.ndim(single) == 0
-            assert float(single).hex() == float(parts[3][i]).hex()
-
 
 # Run in a fresh interpreter under a given BLAS thread count: the kernel
 # evaluator's matrix product must not let one point's bits depend on the
