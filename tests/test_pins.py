@@ -9,7 +9,11 @@ The ``trace-check`` bytes were re-recorded when the rule for h began to read
 the kernel through ``profile.g``, the baby/giant-step evaluator, instead of a
 Clenshaw sum of its own. ``integral`` and ``abs_error`` kept their bits;
 ``integral_radius`` moved at S = 0.25, 1 and 4, by at most 1.3e-6 relative,
-through the term |B_128 - B_64| of the Fermi moment."""
+through the term |B_128 - B_64| of the Fermi moment.
+
+The bits of ``vanishing_series`` and ``geometric_side`` were recorded from
+the code as it stood before the ladder engine took blocks of ladders, when
+each ladder still made its own engine call."""
 
 import hashlib
 import json
@@ -17,7 +21,8 @@ import math
 
 import pytest
 
-from pinchlab import pinch_ladder, plancherel_sum
+from pinchlab import (Schedule, bump, geometric_side, pinch_ladder, plancherel_sum,
+                      transform_profile, vanishing_series)
 from pinchlab.cli import main
 
 # sha256 of the CSV of ``schedule`` over levels 3..stop, keyed by (rule, stop, radius)
@@ -71,6 +76,35 @@ PLANCHEREL_SUM_HEX = {
 TRACE_CHECK_SUPPORTS = "0.25,0.5,0.75,1,2,4,8"
 TRACE_CHECK_CSV_SHA256 = "27bf6cd5faebfd5c5a84b6733a89b3923ef865f5ffdf458e8665aa1d478113c0"
 
+# sha256 of the ``float.hex`` of the normalized column of ``vanishing_series``
+# over reciprocal 3..2000, one row a line, keyed by the support S of bump(S)
+VANISHING_SERIES_SHA256 = {
+    0.25: "ca866edc986a00c6c5945ab8a6959112ed50f03cc45bc09049aed6055d356a40",
+    1.0: "f1a88643de25cde7ce28437817984c2f8efaadc8aae0ac101a23b1ce12e3ad1e",
+    8.0: "bb4702425c39353a909e7da96b642f4b6af9ad58ad0acb03b56736592ab453cf",
+}
+
+# (float.hex of the value, float.hex of the radius) of geometric_side against
+# bump(S), keyed by (S, rungs): a ladder of multiplicity 12 at t = L/(rungs + 1/2)
+# out to the support L, which has that many rungs (about 1e299 for the last);
+# "classes" is the t = 1e-3 ladder as a list of classes
+GEOMETRIC_SIDE_HEX = {
+    (0.75, 100): ("0x1.b145c6093d164p+4", "0x1.312202319b60bp-42"),
+    (0.75, 1024): ("0x1.4507ec2b89865p+5", "0x1.bd0f927955b93p-42"),
+    (0.75, 1025): ("0x1.45139524146eep+5", "0x1.e1b088c1d331bp-42"),
+    (0.75, 10**6): ("0x1.43327e5b52608p+6", "0x1.041905d18cc7ep-40"),
+    (0.75, 10**10): ("0x1.0d18b163c0ddcp+7", "0x1.a97316223baf3p-40"),
+    (0.75, 10**299): ("0x1.f63d0c8c9009ep+11", "0x1.4e30fd1390dbep-35"),
+    (0.75, "classes"): ("0x1.3bd1576a5b0c3p+5", "0x1.a6f0b5e64fd82p-42"),
+    (1.0, 100): ("0x1.f49c0ae1e7bf1p+4", "0x1.7e8737d8a8a52p-42"),
+    (1.0, 1024): ("0x1.7777d93538d3dp+5", "0x1.16dd03f0c9ca5p-41"),
+    (1.0, 1025): ("0x1.77854ff493404p+5", "0x1.2d3e2f2c7fd31p-41"),
+    (1.0, 10**6): ("0x1.7545fda7e9615p+6", "0x1.415ef0572095cp-40"),
+    (1.0, 10**10): ("0x1.36c3b6f61eea6p+7", "0x1.06e811b0f5028p-39"),
+    (1.0, 10**299): ("0x1.21f7fe740e7e5p+12", "0x1.a17974766b74ep-35"),
+    (1.0, "classes"): ("0x1.74193f7e38d8dp+5", "0x1.0e7059b9c9671p-41"),
+}
+
 # the ``systole`` CSV row without its ``candidates`` column, keyed by (level, entry bound)
 SYSTOLE_COLUMNS = ("level,entry_bound,min_abs_trace,expected_trace,"
                    "witness_a,witness_b,witness_c,witness_d,passed")
@@ -102,6 +136,31 @@ def test_plancherel_sum_bits_pinned():
     for t, r in grid:
         val = plancherel_sum(pinch_ladder(t, r, 6), r)
         assert (float(val).hex(), val.radius.hex()) == PLANCHEREL_SUM_HEX[t, r], (t, r)
+
+
+@pytest.mark.parametrize("S", sorted(VANISHING_SERIES_SHA256))
+def test_vanishing_series_bits_pinned(S):
+    schedule = Schedule.from_rule("reciprocal", range(3, 2001), "reciprocal")
+    rows = vanishing_series(schedule, bump(S), 10000)
+    stream = "\n".join(row.normalized.hex() for row in rows)
+    assert hashlib.sha256(stream.encode()).hexdigest() == VANISHING_SERIES_SHA256[S]
+
+
+@pytest.mark.parametrize("S", [0.75, 1.0])
+def test_geometric_side_bits_pinned(S):
+    profile = transform_profile(bump(S))
+    L = profile.g_support
+    for key, pinned in GEOMETRIC_SIDE_HEX.items():
+        if key[0] != S:
+            continue
+        rungs = key[1]
+        if rungs == "classes":
+            spectrum = list(pinch_ladder(1e-3, L, 12))
+        else:
+            spectrum = pinch_ladder(L / (rungs + 0.5), L, 12)
+            assert rungs == 10**299 or spectrum.count == rungs
+        side = geometric_side(spectrum, profile)
+        assert (float(side).hex(), side.radius.hex()) == pinned, key
 
 
 def test_trace_check_csv_bytes_pinned(capsys):
