@@ -9,6 +9,7 @@ sums, and classifies pinch schedules by the trend of the criteria.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ _CUTOFF_GRACE = Fraction(10**12 + 1, 10**12)
 _MIN_PINCH = 1e-300  # near the subnormal range t loses digits; a rule has likely underflowed
 _HEAD = 128  # rungs summed term by term in front of the Euler-Maclaurin tail
 _HEAD_RUNGS = np.arange(1.0, 1025.0)  # rung numbers for a head of up to 1024 rungs
+_BLOCK = 1 << 14  # points per block of the ladder engine, which bounds its temporaries
 _EPS = sys.float_info.epsilon
 _NORMAL_Y = 708.0  # e^-y is a normal float up to here, subnormal or 0 past it
 _TINY = math.ulp(0.0)  # the smallest positive float
@@ -151,7 +153,11 @@ def compacted_surface(level, pinch_length) -> CompactedSurface:
     geodesics of length t: pinched_count = cusps/2, genus gains one handle per
     pair, and the volume matches the cusped area pi*d/6 exactly."""
     t = _validate_pinch(pinch_length)
-    sd = surface_data(level)
+    return _compacted(surface_data(level), t)
+
+
+def _compacted(sd, t: float) -> CompactedSurface:
+    """compacted_surface from the level's surface data and a valid t."""
     pairs = sd.cusps // 2
     genus = sd.genus + pairs
     # Euler characteristic of the gluing: index = 24*(genus - 1), exactly
@@ -179,8 +185,12 @@ def other_geodesic_floor(level, pinch_length) -> float:
         raise DomainError(
             f"pinch length must be < 1/2 for the distortion bound to apply, got {t!r}"
         )
-    half_sys = 0.5 * length_from_trace(n * n - 2)
-    return min(crossing_length_bound(t), half_sys / distortion_bound(t))
+    return _geodesic_floor(length_from_trace(n * n - 2), t)
+
+
+def _geodesic_floor(systole: float, t: float) -> float:
+    """other_geodesic_floor from the level's systole and a valid t < 1/2."""
+    return min(crossing_length_bound(t), 0.5 * systole / distortion_bound(t))
 
 
 def validity_check(level, pinch_length, radius) -> bool:
@@ -220,9 +230,10 @@ def pinch_ladder(pinch_length, radius, multiplicity) -> PinchLadder:
     return PinchLadder(pinch_length, radius, multiplicity)
 
 
-def _rung_weights(t: float, k: np.ndarray) -> np.ndarray:
+def _rung_weights(t, k: np.ndarray) -> np.ndarray:
     """t/sinh(k t/2) over an array of rungs k, written as 2t e^-y/(1 - e^-2y)
-    with y = k t/2, so that long rungs underflow to 0 and nothing overflows."""
+    with y = k t/2, so that long rungs underflow to 0 and nothing overflows;
+    t is a float, or an array of the t of each rung."""
     y = k * (-0.5 * t)
     return t * (np.exp(y) / np.expm1(y + y)) * -2.0
 
@@ -254,21 +265,29 @@ def _log_tanh(z: float) -> float:
     return math.log1p(-2.0 * e / (1.0 + e))
 
 
-# the kernel g = 1 for _ladder_sum: no head values, ends (1, 0, 0, 0),
-# bounds (1, 0, ..., 0) and the closed-form integral
-_ONE = (None, ((1.0, 0.0, 0.0, 0.0),) * 2, (1.0,) + (0.0,) * 6, None)
-
-
 def _tail_span(t: float, count: int, head: int, cap: float = math.inf) -> tuple[float, float]:
     """The first and the last tail length, (head + 1) t and count t, each cut at cap."""
     lo, hi = (head + 1) * t, _rung_length(t, count)
     return (lo if lo < cap else cap), (hi if hi < cap else cap)
 
 
-def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
-                cap: float = math.inf) -> tuple:
-    """Sum of f(k) = g(k t) w(k), w(k) = t/sinh(k t/2), for k = 1..count;
-    its Euler-Maclaurin remainder bound; and its roundoff estimate.
+def _head_rungs(ts: list[float], heads: list[int]) -> tuple[np.ndarray, object, list[int]]:
+    """The head rungs of a block of ladders, ladder after ladder: the rung
+    numbers k = 1..heads[i] of each, the t of each rung (a float for a block
+    of one, which needs no gathering), and where each ladder's rungs start,
+    with the end of the last one appended."""
+    starts = [0, *itertools.accumulate(heads)]
+    if len(heads) == 1:
+        return _HEAD_RUNGS[: heads[0]], ts[0], starts
+    return np.concatenate([_HEAD_RUNGS[:n] for n in heads]), np.repeat(ts, heads), starts
+
+
+def _ladder_sums(ts: list[float], counts: list[int], head: int = _HEAD, values=None,
+                 kernels=None, cap: float = math.inf) -> list[tuple]:
+    """The ladder engine, over a block of ladders with pinch lengths ``ts``
+    and rung counts ``counts``. For each ladder: the sum of f(k) = g(k t) w(k),
+    w(k) = t/sinh(k t/2), for k = 1..count; its Euler-Maclaurin remainder
+    bound; and its roundoff estimate.
 
     The first ``head`` rungs are summed term by term. The rest, k = a..b
     with a = head + 1 and b = count, follow Euler-Maclaurin to order 6
@@ -277,19 +296,25 @@ def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
     rule. For g = 1 the integral is the closed form 2 log tanh(x t/4); any
     other kernel brings its own. ``cap`` cuts the tail where g vanishes.
 
-    ``kernel`` is (values, ends, bounds, integral): g at the head rungs,
-    or None for g = 1; (g, t g', t^2 g'', t^3 g''') at a and at b; the
-    bounds t^i G_i, i = 0..6, with G_i a bound on |g^(i)|; and the tail
-    integral of g(u)/sinh(u/2) du with the size of its terms, or None for
-    the closed form. Only the values are read when count <= head.
+    ``values`` is None for g = 1, or g at the head rungs of every ladder,
+    laid out as ``_head_rungs`` lays them. With values, ``kernels`` gives each
+    ladder's (ends, bounds, integral), or None when count <= head:
+    (g, t g', t^2 g'', t^3 g''') at a and at b; the bounds t^i G_i,
+    i = 0..6, with G_i a bound on |g^(i)|; and the tail integral of
+    g(u)/sinh(u/2) du with the size of its terms.
 
-    For g = 1 it returns (value, remainder, roundoff). For any other kernel
-    it returns that triple and then the one for g = 1 over the same rungs,
+    The head weights of the whole block come from one numpy pass. Each
+    ladder is then summed on its own slice: by math.fsum, which rounds
+    correctly, and by numpy's sums and dot products over the contiguous
+    slice, which round as they do on the ladder alone. The tail is scalar
+    work per ladder. So each ladder's bits do not depend on the block.
+
+    For g = 1 each entry is (value, remainder, roundoff). For any other
+    kernel it is that triple and then the one for g = 1 over the same rungs,
     head and cap, from the same weights and end derivatives: the geometric
     side charges its kernel error on that sum. Beside a kernel the g = 1
     head is summed by numpy's pairwise sum, not by fsum: that sum only
-    scales the kernel charge, itself an estimate, and fsum over 1024 rungs
-    would cost more than the rest of its assembly.
+    scales the kernel charge, itself an estimate.
 
     The remainder obeys |R_3| <= 2 |B_6|/6! int_a^b |f^(6)| (DLMF 2.10).
     Leibniz's rule bounds int |f^(6)| by sum_(i <= 6) C(6, i) t^i G_i
@@ -303,58 +328,83 @@ def _ladder_sum(t: float, count: int, head: int = _HEAD, kernel: tuple = _ONE,
     its argument, an ulp of the assembled value, and 8 ulp of the size of
     the terms of a kernel's own integral.
     """
-    k = _HEAD_RUNGS[: min(count, head)]
-    weights = _rung_weights(t, k)
-    lo, hi = _tail_span(t, count, head, cap)
-    underflow = 0.0
-    if hi > 2.0 * _NORMAL_Y:
-        # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
-        # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
-        # their true and computed sums both lie below 2 (2 + t) e^-y, since
-        # t/(1 - e^-t/2) <= 2 + t; charge twice that, in logs so that it stays
-        # positive where e^-y alone underflows
-        y = max(_NORMAL_Y, 0.5 * t)
-        underflow = math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
-    tail = None
-    if count > head:
-        tail = (lo, hi, _weight_derivatives(t, lo), _weight_derivatives(t, hi),
-                _log_tanh(0.25 * lo), _log_tanh(0.25 * hi))
-    values = kernel[0]
-    if values is None:
-        return _assemble(t, k, weights, math.fsum(weights.tolist()), underflow, tail, kernel)
-    terms = weights * values
-    return (_assemble(t, k, terms, math.fsum(terms.tolist()), underflow, tail, kernel),
-            _assemble(t, k, weights, float(np.sum(weights)), underflow, tail, _ONE))
+    k, at, starts = _head_rungs(ts, [min(count, head) for count in counts])
+    weights = _rung_weights(at, k)
+    terms = weights if values is None else weights * values
+    magnitudes = weights if values is None else np.abs(terms)
+    view = memoryview(terms)
+    sums = []
+    for i, (t, count) in enumerate(zip(ts, counts)):
+        a, b = starts[i], starts[i + 1]
+        rungs, w = k[a:b], weights[a:b]
+        lo, hi = _tail_span(t, count, head, cap)
+        underflow = 0.0
+        if hi > 2.0 * _NORMAL_Y:
+            # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
+            # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
+            # their true and computed sums both lie below 2 (2 + t) e^-y, since
+            # t/(1 - e^-t/2) <= 2 + t; charge twice that, in logs so that it stays
+            # positive where e^-y alone underflows
+            y = max(_NORMAL_Y, 0.5 * t)
+            underflow = math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
+        tail = None
+        if count > head:
+            tail = (lo, hi, _weight_derivatives(t, lo), _weight_derivatives(t, hi),
+                    _log_tanh(0.25 * lo), _log_tanh(0.25 * hi))
+        value = math.fsum(view[a:b])
+        if values is None:
+            # the terms are positive, so their sum is their size
+            sums.append(_assemble(t, value, value, float(np.dot(w, rungs)), underflow, tail))
+            continue
+        m = magnitudes[a:b]
+        weight_sum = float(np.add.reduce(w))
+        sums.append((
+            _assemble(t, value, float(np.add.reduce(m)), float(np.dot(m, rungs)), underflow,
+                      tail, kernels[i]),
+            _assemble(t, weight_sum, weight_sum, float(np.dot(w, rungs)), underflow, tail)))
+    return sums
 
 
-def _assemble(t: float, k: np.ndarray, terms: np.ndarray, value: float, underflow: float,
-              tail, kernel: tuple) -> tuple[float, float, float]:
-    """(value, remainder, roundoff) of ``_ladder_sum`` for one kernel, from
-    the head terms at the rungs k, their sum ``value`` and the underflow
-    charge; ``tail`` is (lo, hi, the derivatives of w at lo and at hi,
-    log tanh(lo/4), log tanh(hi/4)), or None when there is no tail."""
-    values, ends, bounds, integral = kernel
-    # for g = 1 the terms are positive, so the sum is their size
-    magnitudes = terms if values is None else np.abs(terms)
-    size = value if values is None else float(np.sum(magnitudes))
+def _ladder_sum(t: float, count: int) -> tuple[float, float, float]:
+    """(value, remainder, roundoff) of the ladder engine at g = 1 on one
+    ladder: a block of one."""
+    return _ladder_sums([t], [count])[0]
+
+
+def _assemble(t: float, value: float, size: float, moment: float, underflow: float,
+              tail, kernel=None) -> tuple[float, float, float]:
+    """(value, remainder, roundoff) of one ladder of ``_ladder_sums``, from
+    its head sum ``value``, the sum ``size`` of the magnitudes of its head
+    terms and their sum ``moment`` weighted by k, and the underflow charge.
+    ``tail`` is (lo, hi, the derivatives of w at lo and at hi,
+    log tanh(lo/4), log tanh(hi/4)), or None when there is no tail;
+    ``kernel`` is (ends, bounds, integral), or None for g = 1."""
     # each computed term is charged a few ulp, plus the rounding of its
     # argument y = k t/2 times the condition number (below 1 + y) of e^-y
-    roundoff = _EPS * (8.0 * size + 0.5 * t * float(np.dot(magnitudes, k)))
+    roundoff = _EPS * (8.0 * size + 0.5 * t * moment)
     roundoff += underflow
     if tail is None:
         return value, 0.0, roundoff
     lo, hi, (w0, w1, w2, w3, w4, w5), (v0, v1, v2, v3, _, _), log_a, log_b = tail
-    if integral is None:  # g = 1: the closed form, whose two logs are charged at the ends
+    if kernel is None:
+        # g = 1: the ends (1, 0, 0, 0) make f = w, the bounds (1, 0, ..., 0)
+        # leave |w^(5)(a)|, and the closed form's two logs are charged at the ends
         integral, integral_size = 2.0 * (log_b - log_a), 0.0
         size_a, size_b = abs(log_a), abs(log_b)
+        fa, da1, da3, fb, db1, db3 = w0, w1, w3, v0, v1, v3
+        leibniz = abs(w5)
     else:
-        (integral, integral_size), size_a, size_b = integral, 0.0, 0.0
-    # f, f' and f''' at a and at b, by Leibniz's rule
-    (ga, ga1, ga2, ga3), (gb, gb1, gb2, gb3) = ends
-    fa, da1 = ga * w0, ga1 * w0 + ga * w1
-    fb, db1 = gb * v0, gb1 * v0 + gb * v1
-    da3 = ga3 * w0 + 3.0 * (ga2 * w1 + ga1 * w2) + ga * w3
-    db3 = gb3 * v0 + 3.0 * (gb2 * v1 + gb1 * v2) + gb * v3
+        ((ga, ga1, ga2, ga3), (gb, gb1, gb2, gb3)), bounds, (integral, integral_size) = kernel
+        size_a = size_b = 0.0
+        # f, f' and f''' at a and at b, by Leibniz's rule
+        fa, da1 = ga * w0, ga1 * w0 + ga * w1
+        fb, db1 = gb * v0, gb1 * v0 + gb * v1
+        da3 = ga3 * w0 + 3.0 * (ga2 * w1 + ga1 * w2) + ga * w3
+        db3 = gb3 * v0 + 3.0 * (gb2 * v1 + gb1 * v2) + gb * v3
+        c0, c1, c2, c3, c4, c5, c6 = bounds
+        leibniz = (c0 * abs(w5) + 6.0 * (c1 * abs(w4) + c5 * abs(w0))
+                   + 15.0 * (c2 * abs(w3) + c4 * abs(w1)) + 20.0 * c3 * abs(w2)
+                   + c6 * 2.0 * (log_b - log_a))
     value = (value + integral + 0.5 * (fa + fb)
              + (db1 - da1) / 12.0 - (db3 - da3) / 720.0)
     # likewise for the endpoint terms, whose condition numbers in the length
@@ -364,11 +414,13 @@ def _assemble(t: float, k: np.ndarray, terms: np.ndarray, value: float, underflo
     size_b = size_b + 0.5 * abs(fb) + abs(db1) / 12.0 + abs(db3) / 720.0
     roundoff += _EPS * ((8.0 + lo) * size_a + (8.0 + hi) * size_b
                         + 8.0 * integral_size + abs(value))
-    c0, c1, c2, c3, c4, c5, c6 = bounds
-    leibniz = (c0 * abs(w5) + 6.0 * (c1 * abs(w4) + c5 * abs(w0))
-               + 15.0 * (c2 * abs(w3) + c4 * abs(w1)) + 20.0 * c3 * abs(w2)
-               + c6 * 2.0 * (log_b - log_a))
     return value, leibniz / 15120.0, roundoff  # 2 |B_6|/6! = 1/15120
+
+
+def _criterion(mult: int, value: float, remainder: float, roundoff: float) -> tuple[float, float]:
+    """The criterion sum over a ladder of multiplicity ``mult`` and its
+    radius, from the engine's triple at g = 1."""
+    return mult * value, mult * (remainder + roundoff) + _EPS * mult * value
 
 
 def plancherel_sum(spectrum, radius) -> CertifiedValue:
@@ -392,8 +444,7 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
         reach = _rung_length(t, count)
         if count > 0 and reach > grace + t * 1e-9:
             raise DomainError(f"ladder reaches {reach!r}, beyond radius {r!r}")
-        value, remainder, roundoff = _ladder_sum(t, count)
-        return CertifiedValue(mult * value, mult * (remainder + roundoff) + _EPS * mult * value)
+        return CertifiedValue(*_criterion(mult, *_ladder_sum(t, count)))
     terms = []
     for cls in spectrum:
         if cls.length > grace:
@@ -411,9 +462,12 @@ def bs_ratio(level, pinch_length, radius) -> float:
     """
     n = _as_level(level)
     r = _require_valid(n, pinch_length, radius, "the simple-geodesic count is not certified")
-    if float(pinch_length) > r:
-        return 0.0
-    return 3.0 / (2.0 * math.pi * n)
+    return _bs_ratio(n, float(pinch_length), r)
+
+
+def _bs_ratio(n: int, t: float, r: float) -> float:
+    """bs_ratio at a radius r where the ladder is the complete short spectrum."""
+    return 0.0 if t > r else 3.0 / (2.0 * math.pi * n)
 
 
 def harmonic_sum(n) -> float:
@@ -446,7 +500,11 @@ def sandwich_bounds(level, pinch_length, radius) -> tuple[float, float]:
         raise DomainError(f"radius must be >= 1 for the explicit constants, got {radius!r}")
     if not t < 1.0:
         raise DomainError(f"pinch length must be < min(1, radius) = 1, got {t!r}")
-    pairs = surface_data(n).cusps // 2
+    return _sandwich(surface_data(n).cusps // 2, t, r)
+
+
+def _sandwich(pairs: int, t: float, r: float) -> tuple[float, float]:
+    """sandwich_bounds of a ladder of ``pairs`` pinched pairs, for t < 1 <= r."""
     lower = r / _sinh_half(r) * pairs * (-math.log(t))
     upper = 2.0 * pairs * (math.log(r / t) + 1.0)
     return lower, upper
@@ -550,47 +608,67 @@ def _trend(values: list[float]) -> str:
     return "bounded away from zero"
 
 
+def _schedule_rows(schedule: Schedule, radius: float, j_max: int) -> list[tuple]:
+    """(j, level, t, surface, count) for the first j_max rows of a schedule:
+    the compacted surface, and the number of rungs up to ``radius`` when the
+    ladder there is the complete short spectrum, else None. The Schedule has
+    validated every level and pinch length, so a row reads its surface data
+    and its validity floor once."""
+    rows = []
+    for j, n, t in zip(range(1, j_max + 1), schedule.levels, schedule.pinch_lengths):
+        sd = surface_data(n)
+        valid = t < 0.5 and _geodesic_floor(sd.systole, t) > radius
+        rows.append((j, n, t, _compacted(sd, t), _ladder_count(t, radius) if valid else None))
+    return rows
+
+
 def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
     """Evaluate both criteria along a schedule and attach trend verdicts.
 
     Rows whose pinch length defeats the validity floor are flagged rather
-    than fatal; their criterion fields are NaN.
+    than fatal; their criterion fields are NaN. The criterion sums of the
+    valid rows go through the ladder engine in blocks of _BLOCK // _HEAD
+    ladders, each with the bits of a ``plancherel_sum`` call of its own.
     """
     r = _require_positive("radius", radius)
     j_cap = _as_int("j_max", j_max)
     if j_cap < 1:
         raise DomainError(f"j_max must be >= 1, got {j_cap}")
+    entries = _schedule_rows(schedule, r, j_cap)
+    valid = [(t, count) for _, _, t, _, count in entries if count is not None]
+    step = max(1, _BLOCK // _HEAD)
+    sums = []
+    for i in range(0, len(valid), step):
+        ts, counts = zip(*valid[i : i + step])
+        sums += _ladder_sums(ts, counts)
+    sums = iter(sums)
     rows = []
     nan = math.nan
-    for j in range(1, min(j_cap, len(schedule.levels)) + 1):
-        n = schedule.levels[j - 1]
-        t = schedule.pinch_lengths[j - 1]
-        surface = compacted_surface(n, t)
-        pairs = surface.pinched_count
-        if validity_check(n, t, r):
-            s = plancherel_sum(PinchLadder(t, r, pairs), r)
-            if r >= 1.0 and t < 1.0:
-                lo, up = sandwich_bounds(n, t, r)
-                lower, upper = lo / surface.volume, up / surface.volume
-            else:
-                lower, upper = nan, nan
+    for j, n, t, surface, count in entries:
+        if count is None:
             rows.append(
                 ScheduleRow(
-                    j=j, level=n, pinch=t, b_pairs=pairs, genus=surface.genus,
-                    volume=surface.volume, bs_ratio=bs_ratio(n, t, r), pl_sum=float(s),
-                    pl_sum_radius=s.radius, pl_norm=float(s) / surface.volume,
-                    lower=lower, upper=upper, valid=True,
-                )
-            )
-        else:
-            rows.append(
-                ScheduleRow(
-                    j=j, level=n, pinch=t, b_pairs=pairs, genus=surface.genus,
+                    j=j, level=n, pinch=t, b_pairs=surface.pinched_count, genus=surface.genus,
                     volume=surface.volume, bs_ratio=nan, pl_sum=nan,
                     pl_sum_radius=nan, pl_norm=nan, lower=nan, upper=nan,
                     valid=False,
                 )
             )
+            continue
+        pairs, volume = surface.pinched_count, surface.volume
+        pl_sum, pl_sum_radius = _criterion(pairs, *next(sums))
+        lower = upper = nan
+        if r >= 1.0 and t < 1.0:
+            lo, up = _sandwich(pairs, t, r)
+            lower, upper = lo / volume, up / volume
+        rows.append(
+            ScheduleRow(
+                j=j, level=n, pinch=t, b_pairs=pairs, genus=surface.genus,
+                volume=volume, bs_ratio=_bs_ratio(n, t, r), pl_sum=pl_sum,
+                pl_sum_radius=pl_sum_radius, pl_norm=pl_sum / volume,
+                lower=lower, upper=upper, valid=True,
+            )
+        )
     valid_rows = [row for row in rows if row.valid]
     return ScheduleReport(
         schedule_name=schedule.name,

@@ -1,11 +1,12 @@
 """Typed errors, and the one owner of each input rule.
 
 Every public call checks its arguments through the validators here:
-``_as_real`` for finite reals (text, bools, integers past the float range and
-what float() cannot read refused), ``_require_positive`` for positive ones
-(lengths, radii, supports), ``_as_int`` for integers (bools, NaN and infinities
-refused) and ``_as_level`` for torsion-free levels N >= 3. Rules that hold for
-one call only stay with that call.
+``_as_real`` for finite reals (text, truth values, integers past the float
+range and what float() cannot read refused), on ``_read_real``, which reads a
+real but lets infinities and NaN through; ``_require_positive`` for positive
+ones (lengths, radii, supports), ``_as_int`` for integers (bools, NaN and
+infinities refused) and ``_as_level`` for torsion-free levels N >= 3. Rules
+that hold for one call only stay with that call.
 """
 
 import math
@@ -31,19 +32,26 @@ class InternalInvariantViolation(PinchlabError):
     """An exact-arithmetic identity failed; indicates a bug, never user input."""
 
 
+_TEXT = (str, bytes, bytearray, memoryview, bool)  # float() reads "2" and b"2" as 2.0, True as 1.0
+
+
+def _read_real(name: str, x) -> float:
+    """x as a float, infinities and NaN included. Text and truth values
+    (numpy's too) are refused, and an integer past the float range reads as
+    an infinity."""
+    try:
+        if type(x) is not int and (
+                isinstance(x, _TEXT) or getattr(getattr(x, "dtype", None), "kind", "") == "b"):
+            raise TypeError
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real, got {x!r}") from None
+
+
 def _as_real(name: str, x) -> float:
-    if type(x) is float:  # the common case skips the checks below
-        r = x
-    else:
-        try:
-            # float() reads "2", and True as 1.0
-            if type(x) is not int and isinstance(x, (str, bytes, bool)):
-                raise TypeError
-            r = float(x)
-        except OverflowError:  # an integer past the float range
-            r = math.inf
-        except (TypeError, ValueError):
-            raise DomainError(f"{name} must be a finite real, got {x!r}") from None
+    r = x if type(x) is float else _read_real(name, x)  # the common case skips the checks
     if not math.isfinite(r):
         raise DomainError(f"{name} must be a finite real, got {r!r}")
     return r

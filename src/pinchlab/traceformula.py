@@ -19,16 +19,16 @@ import numpy as np
 
 from .certified import CertifiedValue
 from .convergence import (
+    _BLOCK,
     _EPS,
-    _HEAD_RUNGS,
     PinchLadder,
+    _head_rungs,
     _ladder_count,
-    _ladder_sum,
+    _ladder_sums,
+    _schedule_rows,
     _tail_span,
-    compacted_surface,
-    validity_check,
 )
-from .errors import DomainError, _as_int, _as_real, _require_positive
+from .errors import _TEXT, DomainError, _as_int, _as_real, _read_real, _require_positive
 from .hyperbolic import _acosh1p, _sinh_half
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
@@ -38,7 +38,6 @@ _GEO_HEAD = 1024  # rungs of a geometric side summed term by term before Euler-M
 _GEO_GAUSS = 128  # Gauss-Legendre nodes of the tail integral; exact to degree 255
 _R_SPLIT = 14.0  # 2r/(e^(2 pi r) + 1) is below 1e-36 past here
 _H_REACH = 1300.0  # largest r * g_support for h; the 384-point rule aliases from about 1370
-_BLOCK = 1 << 14  # kernel points per profile.g call when vanishing_series batches ladders
 _BABY = 16  # baby steps T_0 .. T_15 of the kernel evaluator, in y = 2x^2 - 1
 _GIANT = _TERMS // _BABY  # its giant steps T_0 .. T_7 in z = T_16(y)
 _CHUNK = 2048  # points per matrix product of the kernel evaluator
@@ -208,9 +207,10 @@ class TransformProfile:
 
     ``g`` takes a real or an array and sums the series by baby and giant
     steps (``_split_series``), so an array call gives the bits of a call per
-    point; the rule for h reads g at its 384 nodes through it. A real past
-    the float range lies beyond the support, where g is 0; what numpy cannot
-    read as floats raises DomainError.
+    point; the rule for h reads g at its 384 nodes through it. It reads its
+    argument as ``errors._read_real`` reads a real: text and truth values
+    raise DomainError, and a real past the float range lies beyond the
+    support, where g is 0. Arrays of numbers are read as they stand.
     """
 
     g_support: float
@@ -219,12 +219,14 @@ class TransformProfile:
 
     def g(self, u):
         L = self.g_support
-        try:
-            arr = np.abs(np.asarray(u, dtype=float))
-        except (OverflowError, TypeError, ValueError) as exc:
-            if isinstance(exc, OverflowError) and np.ndim(u) == 0:
-                return 0.0  # a real past the float range lies beyond the support
-            raise DomainError(f"g needs reals in the float range, got {u!r}") from None
+        if isinstance(u, np.ndarray) and u.dtype.kind in "fiu":
+            arr = np.abs(u.astype(float, copy=False))
+        elif isinstance(u, _TEXT):  # numpy would read their bytes as numbers
+            raise DomainError(f"g needs reals, got {u!r}")
+        else:
+            points = np.asarray(u, dtype=object)
+            arr = np.abs(np.array([_read_real("u", x) for x in points.ravel().tolist()],
+                                  dtype=float).reshape(points.shape))
         out = np.where(arr >= L, 0.0, _split_series(self._split, np.minimum(arr, L) / L))
         if out.ndim == 0:
             return float(out)
@@ -350,99 +352,115 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
 
 
 class _KernelPoints(NamedTuple):
-    """Where a ladder's geometric side reads the kernel: ``points`` holds the
-    head rungs k t, k = 1..min(n_eff, _GEO_HEAD), then, when n_eff passes
-    the head, the Gauss-Legendre nodes of the tail integral over [lo, hi]."""
+    """Where the geometric sides of a block of ladders read the kernel.
 
-    ladder: PinchLadder
-    n_eff: int
-    lo: float
-    hi: float
+    ``ladders`` holds each ladder as (t, n, multiplicity), n its rungs inside
+    the support; ``points`` the head rungs k t, k = 1..min(n, _GEO_HEAD), of
+    every ladder, ladder after ladder, and then, for each ladder whose n
+    passes the head, a row of ``nodes``: the Gauss-Legendre nodes of its
+    tail integral over its ``spans`` entry (lo, hi)."""
+
+    ladders: list
+    spans: list
+    nodes: np.ndarray
     points: np.ndarray
 
 
-def _kernel_points(ladder: PinchLadder, L: float) -> _KernelPoints:
-    """The kernel points of a ladder against a kernel of support L; none
-    when no rung lies inside the support."""
-    t = ladder.pinch_length
-    n_eff = min(ladder.count, _ladder_count(t, L))
+def _block_points(ladders: list, L: float) -> _KernelPoints:
+    """The kernel points of a block of ladders against a kernel of support L."""
+    k, at, _ = _head_rungs([t for t, _, _ in ladders], [min(n, _GEO_HEAD) for _, n, _ in ladders])
+    points = k * at
     # the last rung may pass L by the cutoff grace; g vanishes there
-    lo, hi = _tail_span(t, n_eff, _GEO_HEAD, L)
-    points = _HEAD_RUNGS[: min(n_eff, _GEO_HEAD)] * t
-    if n_eff > _GEO_HEAD:
+    spans = [_tail_span(t, n, _GEO_HEAD, L) for t, n, _ in ladders if n > _GEO_HEAD]
+    nodes = np.empty((0, _GEO_GAUSS))
+    if spans:
+        lo, hi = np.array(spans).T
         x = _gauss_legendre(_GEO_GAUSS)[0]
-        points = np.concatenate([points, lo + 0.5 * (hi - lo) * (x + 1.0)])
-    return _KernelPoints(ladder, n_eff, lo, hi, points)
+        nodes = lo[:, None] + (0.5 * (hi - lo))[:, None] * (x + 1.0)
+        points = np.concatenate([points, nodes.ravel()])
+    return _KernelPoints(ladders, spans, nodes, points)
 
 
-def _ladder_geometric(kp: _KernelPoints, kernel_values: np.ndarray,
-                      profile: TransformProfile) -> CertifiedValue:
-    """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2),
-    from the kernel values at the ladder's kernel points.
+def _kernel_points(ladder: PinchLadder, L: float) -> _KernelPoints:
+    """The kernel points of one ladder against a kernel of support L: a
+    block of one, with the rungs that lie inside the support."""
+    t = ladder.pinch_length
+    return _block_points([(t, min(ladder.count, _ladder_count(t, L)), ladder.multiplicity)], L)
 
-    The ladder engine ``_ladder_sum`` sums it, with a head of _GEO_HEAD
-    rungs and the tail, k = a..b, cut at the support L. This supplies the
+
+def _block_sides(kp: _KernelPoints, profile: TransformProfile) -> list[CertifiedValue]:
+    """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2)
+    for each ladder of a block, from one ``profile.g`` call at its kernel
+    points.
+
+    The ladder engine ``_ladder_sums`` sums them, with heads of _GEO_HEAD
+    rungs and tails, k = a..b, cut at the support L. This supplies the
     kernel: g at the head rungs; g, g', g'' and g''' at the two tail ends,
-    from the derivative series, and the bounds G_i on |g^(i)|, the
-    coefficient sums of those series, as |T_k| <= 1, all times t^i to make
-    them derivatives in k; and the tail integral int g(u)/sinh(u/2) du over
-    [a t, b t]. That integral is 2 g(0) log(b/a) plus a 128-point
-    Gauss-Legendre rule for the rest: 2 (g(u) - g(0))/u, a polynomial of
-    degree 253 on the series that the rule integrates exactly, and
-    g(u) (1/sinh(u/2) - 2/u), which is analytic. The radius adds
-    ``kernel_error`` times the summed weights: the engine's sum at g = 1
-    over the same rungs, which the same call returns, with its radius.
+    from the derivative series (one cosine matrix for the block), and the
+    bounds G_i on |g^(i)|, the coefficient sums of those series, as
+    |T_k| <= 1, all times t^i to make them derivatives in k; and the tail
+    integral int g(u)/sinh(u/2) du over [a t, b t]. That integral is
+    2 g(0) log(b/a) plus a 128-point Gauss-Legendre rule for the rest:
+    2 (g(u) - g(0))/u, a polynomial of degree 253 on the series that the
+    rule integrates exactly, and g(u) (1/sinh(u/2) - 2/u), which is analytic.
+    The rule's terms are formed for the block at once and summed per ladder,
+    by fsum and a dot product over the ladder's row. The radius adds
+    ``kernel_error`` times the summed weights: the engine's sum at g = 1 over
+    the same rungs, which the same call returns, with its radius.
     """
-    ladder, n_eff, lo, hi, points = kp
-    t, mult, L = ladder.pinch_length, ladder.multiplicity, profile.g_support
-    n_head = min(n_eff, _GEO_HEAD)
-    ends = bounds = integral = None
-    if n_eff > _GEO_HEAD:
+    ladders, spans, nodes, points = kp
+    L = profile.g_support
+    # a block with no rung inside the support skips the call
+    values = profile.g(points) if points.size else points
+    n_head = points.size - nodes.size
+    kernels = [None] * len(ladders)
+    if spans:
         g0 = profile._g0
+        tailed = [i for i, (_, n, _) in enumerate(ladders) if n > _GEO_HEAD]
         # the engine takes t^i g^(i), the derivatives in the rung number
-        scale = [t**i for i in range(7)]
-        series = np.cos(np.outer(np.arccos([lo / L, hi / L]), _ORDERS)) @ profile.ladder_series
-        ends = tuple(tuple(s * g for s, g in zip(scale, end[:4])) for end in series.tolist())
-        bounds = tuple(s * sup for s, sup in zip(scale, profile._series_sups))
-        w = 0.5 * (hi - lo) * _gauss_legendre(_GEO_GAUSS)[1]
-        u = points[n_head:]
-        g_rule, csch_rule = kernel_values[n_head:], 1.0 / np.sinh(0.5 * u)
-        log_part = 2.0 * g0 * math.log(n_eff / (_GEO_HEAD + 1) if hi < L else L / lo)
+        scales = np.array([[ladders[i][0] ** p for p in range(7)] for i in tailed])
+        series = (np.cos(np.outer(np.arccos(np.array(spans).ravel() / L), _ORDERS))
+                  @ profile.ladder_series)
+        ends = (series.reshape(-1, 2, 7)[:, :, :4] * scales[:, None, :4]).tolist()
+        bounds = (scales * np.array(profile._series_sups)).tolist()
+        lo, hi = np.array(spans).T
+        w = (0.5 * (hi - lo))[:, None] * _gauss_legendre(_GEO_GAUSS)[1]
+        g_rule, csch_rule = values[n_head:].reshape(nodes.shape), 1.0 / np.sinh(0.5 * nodes)
         # the two parts of each term of the rule cancel; the size counts both
-        integral = (log_part + math.fsum((w * (g_rule * csch_rule - 2.0 * g0 / u)).tolist()),
-                    abs(log_part) + float(w @ (np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / u)))
-    kernel = (kernel_values[:n_head], ends, bounds, integral)
-    (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (
-        _ladder_sum(t, n_eff, _GEO_HEAD, kernel, L))
-    kernel_charge = profile.kernel_error * (weight_sum + (weight_remainder + weight_roundoff))
-    value *= 0.5 * mult
-    return CertifiedValue(
-        value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value))
+        parts = memoryview((w * (g_rule * csch_rule - 2.0 * g0 / nodes)).ravel())
+        sizes = np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / nodes
+        for row, (i, (a, b)) in enumerate(zip(tailed, spans)):
+            log_part = 2.0 * g0 * math.log(ladders[i][1] / (_GEO_HEAD + 1) if b < L else L / a)
+            rule = math.fsum(parts[_GEO_GAUSS * row : _GEO_GAUSS * (row + 1)])
+            kernels[i] = (ends[row], bounds[row],
+                          (log_part + rule, abs(log_part) + float(np.dot(w[row], sizes[row]))))
+    sums = _ladder_sums([t for t, _, _ in ladders], [n for _, n, _ in ladders], _GEO_HEAD,
+                        values[:n_head], kernels, L)
+    sides = []
+    for (_, _, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
+        (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (
+            kernel_sum, unit_sum)
+        kernel_charge = profile.kernel_error * (weight_sum + (weight_remainder + weight_roundoff))
+        value *= 0.5 * mult
+        sides.append(CertifiedValue(
+            value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value)))
+    return sides
 
 
-def _ladder_sides(ladders, profile: TransformProfile) -> list[CertifiedValue]:
-    """The geometric side of each ladder, in order. The kernel points of
-    consecutive ladders are gathered until about _BLOCK of them, and each
-    block takes one ``profile.g`` call, without the fixed cost of a call per
-    ladder. g is elementwise: its evaluator walks a block in chunks of
-    _CHUNK points and pads each chunk's matrix product to a multiple of
-    _PAD columns, so every value is the one a call per ladder gives."""
-    sides, block, size = [], [], 0
-    for i, ladder in enumerate(ladders, 1):
-        kp = _kernel_points(ladder, profile.g_support)
-        block.append(kp)
-        size += kp.points.size
+def _ladder_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValue]:
+    """The geometric side of each ladder (t, n, multiplicity), n its rungs
+    inside the support, in order. Consecutive ladders are gathered until
+    about _BLOCK kernel points, and each block takes one ``profile.g`` call
+    and one engine call. g is elementwise: its evaluator walks a block in
+    chunks of _CHUNK points and pads each chunk's matrix product to a
+    multiple of _PAD columns, so every value is the one a call per ladder
+    gives; and the engine sums each ladder on its own."""
+    sides, start, size = [], 0, 0
+    for i, (_, n, _) in enumerate(ladders, 1):
+        size += min(n, _GEO_HEAD) + (_GEO_GAUSS if n > _GEO_HEAD else 0)
         if size >= _BLOCK or i == len(ladders):
-            # a block of ladders with no rung inside the support skips the call
-            values = np.empty(0)
-            if size:
-                values = profile.g(np.concatenate([b.points for b in block]))
-            start = 0
-            for b in block:
-                stop = start + b.points.size
-                sides.append(_ladder_geometric(b, values[start:stop], profile))
-                start = stop
-            block, size = [], 0
+            sides += _block_sides(_block_points(ladders[start:i], profile.g_support), profile)
+            start, size = i, 0
     return sides
 
 
@@ -462,16 +480,16 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
     if isinstance(spectrum, PinchLadder):
-        return _ladder_sides([spectrum], profile)[0]
+        return _block_sides(_kernel_points(spectrum, profile.g_support), profile)[0]
     classes = list(spectrum)
     if not classes:
         return CertifiedValue(0.0, 0.0)
-    weights = [cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
-               for cls in classes]
-    kernel_values = profile.g(np.array([cls.length for cls in classes], dtype=float))
-    terms = [w * g for w, g in zip(weights, kernel_values.tolist())]
-    return CertifiedValue(math.fsum(terms), 8.0 * _EPS * math.fsum(abs(x) for x in terms)
-                          + profile.kernel_error * math.fsum(weights))
+    weights = np.array([cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
+                        for cls in classes])
+    terms = weights * profile.g(np.array([cls.length for cls in classes], dtype=float))
+    return CertifiedValue(math.fsum(memoryview(terms)),
+                          8.0 * _EPS * math.fsum(memoryview(np.abs(terms)))
+                          + profile.kernel_error * math.fsum(memoryview(weights)))
 
 
 @dataclass(frozen=True)
@@ -497,16 +515,10 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     profile = transform_profile(phi)
-    radius = profile.g_support
-    entries, ladders = [], []
-    for j in range(1, min(j_max, len(schedule.levels)) + 1):
-        level, t = schedule.levels[j - 1], schedule.pinch_lengths[j - 1]
-        surface = compacted_surface(level, t)
-        ok = validity_check(level, t, radius)
-        if ok:
-            ladders.append(PinchLadder(t, radius, surface.pinched_count))
-        entries.append((j, level, t, surface.volume, ok))
-    sides = iter(_ladder_sides(ladders, profile))
-    return [VanishingRow(j, level, t, float(next(sides)) / volume, True) if ok
-            else VanishingRow(j, level, t, math.nan, False)
-            for j, level, t, volume, ok in entries]
+    entries = _schedule_rows(schedule, profile.g_support, j_max)
+    sides = iter(_ladder_sides([(t, count, surface.pinched_count)
+                                for _, _, t, surface, count in entries if count is not None],
+                               profile))
+    return [VanishingRow(j, level, t, float(next(sides)) / surface.volume, True)
+            if count is not None else VanishingRow(j, level, t, math.nan, False)
+            for j, level, t, surface, count in entries]

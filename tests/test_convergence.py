@@ -435,3 +435,19 @@ def test_classify_schedule_few_rows_inconclusive():
     report = classify_schedule(sched, 1.0, 10)
     assert report.plancherel_verdict == "inconclusive"
     assert report.bs_verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("radius,j_max", [(1.0, 10000), (1.0, 200), (2.0, 300)])
+def test_classify_schedule_rows_are_plancherel_sums(radius, j_max):
+    # the rows go through the engine in blocks of ladders; each valid row
+    # keeps the bits of plancherel_sum on its own ladder (j_max = 200 cuts
+    # the second block in its middle)
+    sched = Schedule.from_rule("recip", range(3, 403), "reciprocal")
+    report = classify_schedule(sched, radius, j_max)
+    assert len(report.rows) == min(j_max, 400)
+    valid = [row for row in report.rows if row.valid]
+    assert len(valid) >= len(report.rows) - 3
+    for row in valid:
+        s = plancherel_sum(pinch_ladder(row.pinch, radius, row.b_pairs), radius)
+        assert (row.pl_sum.hex(), row.pl_sum_radius.hex()) == (
+            float(s).hex(), s.radius.hex()), row.level

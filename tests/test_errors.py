@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pinchlab import (
@@ -45,10 +46,25 @@ HUGE = 10**400  # an integer past the float range; float() raises OverflowError
     lambda: sandwich_bounds(7, 0.01, b"2"),
     lambda: bump(True),
     lambda: transform_profile(bump(1.0)).h("1"),
+    lambda: bump(bytearray(b"2")),
+    lambda: bump(memoryview(b"2")),
+    lambda: bump(np.True_),
+    lambda: CertifiedValue(bytearray(b"1"), 0.0),
+    lambda: transform_profile(bump(1.0)).g("2"),
+    lambda: transform_profile(bump(1.0)).g(["0.5"]),
+    lambda: transform_profile(bump(1.0)).g(np.array(["0.5"])),
+    lambda: transform_profile(bump(1.0)).g(bytearray(b"2")),
+    lambda: transform_profile(bump(1.0)).g(True),
+    lambda: transform_profile(bump(1.0)).g([0.5, True]),
+    lambda: transform_profile(bump(1.0)).g(np.array([True])),
 ], ids=["sandwich_radius", "sandwich_radius_str", "injrad_offset", "distortion_eps",
         "bump_amplitude", "certified_radius", "certified_value", "profile_h_huge",
         "profile_g_str", "bump_support_numeric_str", "sandwich_radius_numeric_str",
-        "sandwich_radius_bytes", "bump_support_bool", "profile_h_numeric_str"])
+        "sandwich_radius_bytes", "bump_support_bool", "profile_h_numeric_str",
+        "bump_support_bytearray", "bump_support_memoryview", "bump_support_numpy_bool",
+        "certified_value_bytearray", "profile_g_numeric_str", "profile_g_str_list",
+        "profile_g_str_array", "profile_g_bytearray", "profile_g_bool",
+        "profile_g_bool_in_list", "profile_g_bool_array"])
 def test_unreadable_reals_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -170,6 +170,15 @@ def test_g_passes_nan_through(profile1):
     assert profile1.g(10**400) == 0.0 and profile1.g(-10**400) == 0.0
 
 
+def test_g_reads_lists_as_it_reads_reals(profile1):
+    # an integer past the float range lies beyond the support inside a list
+    # too, and a list gives the bits of the float array
+    assert profile1.g([10**400, 0.5, -(10**400)]).tolist() == [0.0, profile1.g(0.5), 0.0]
+    points = [0.1, 0.5, 0.9, 3]
+    assert profile1.g(points).tobytes() == profile1.g(np.array(points, dtype=float)).tobytes()
+    assert profile1.g(np.array([0, 2])).tolist() == [profile1.g(0.0), 0.0]
+
+
 def test_g_at_zero_against_quad():
     for S in (0.5, 1.0, 4.0):
         ref, _ = quad(lambda s: math.exp(-1.0 / (1.0 - (s * s / S) ** 2)),
@@ -283,6 +292,74 @@ def test_split_series_is_elementwise(threads):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "elementwise"
+
+
+# Run in a fresh interpreter under a given BLAS thread count: a schedule's
+# rows go through the ladder engine in blocks, and no row's bits may depend
+# on the rows it shares a block with. Each row is compared with a call of
+# its own (a block of one) with the blocks at their own size, at one row
+# and at the whole schedule. The rows hold two invalid ones in front, rungs
+# counts 0 and 1, counts at both edges of the criterion head (128) and of
+# the geometric head (1024), and t = 1e-300 in the block of t = 0.3; j_max = 7
+# cuts the block in its middle.
+_BLOCK_INDEPENDENT = """
+from pinchlab import (Schedule, bump, classify_schedule, compacted_surface, geometric_side,
+                      pinch_ladder, plancherel_sum, transform_profile, vanishing_series)
+from pinchlab import convergence, traceformula
+
+phi = bump(0.1)
+profile = transform_profile(phi)
+L = profile.g_support
+pinches = [0.6, 0.5, 0.45, 0.3] + [L / (n + 0.5) for n in (128, 129, 1024, 1025)] + [1e-300]
+schedule = Schedule.explicit("edges", range(3, 3 + len(pinches)), pinches)
+counts = [pinch_ladder(t, L, 1).count for t in pinches[2:]]
+assert counts[:6] == [0, 1, 128, 129, 1024, 1025] and counts[6] > 10**299, counts
+
+
+def own_rows(j_max):
+    rows = []
+    for level, t in list(zip(schedule.levels, schedule.pinch_lengths))[:j_max]:
+        if t >= 0.5:
+            rows.append((False, "nan", "nan", "nan"))
+            continue
+        surface = compacted_surface(level, t)
+        ladder = pinch_ladder(t, L, surface.pinched_count)
+        s = plancherel_sum(ladder, L)
+        side = float(geometric_side(ladder, profile)) / surface.volume
+        rows.append((True, float(s).hex(), s.radius.hex(), side.hex()))
+    return rows
+
+
+def block_rows(j_max):
+    report = classify_schedule(schedule, L, j_max)
+    series = vanishing_series(schedule, phi, j_max)
+    return [(row.valid, row.pl_sum.hex(), row.pl_sum_radius.hex(), side.normalized.hex())
+            for row, side in zip(report.rows, series)]
+
+
+for j_max in (len(pinches), 7):
+    own = own_rows(j_max)
+    assert [row[0] for row in own] == [False] * 2 + [True] * (j_max - 2)
+    # classify_schedule takes _BLOCK // _HEAD ladders a block and
+    # vanishing_series about _BLOCK kernel points: their own sizes, one row
+    # and the whole schedule
+    for blocks in ((convergence._BLOCK, traceformula._BLOCK), (convergence._HEAD, 1),
+                   (10**9, 10**9)):
+        convergence._BLOCK, traceformula._BLOCK = blocks
+        assert block_rows(j_max) == own, (j_max, blocks)
+print("independent")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_schedule_rows_do_not_depend_on_their_block(threads):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_INDEPENDENT], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "independent"
 
 
 @pytest.mark.parametrize("S", [0.25, 1.0, 8.0, 64.0, 1e4, 1e6])
