@@ -298,7 +298,7 @@ def test_split_series_is_elementwise(threads):
 # rows go through the ladder engine in blocks, and no row's bits may depend
 # on the rows it shares a block with. Each row is compared with a call of
 # its own (a block of one) with the blocks at their own size, at one row
-# and at the whole schedule. The rows hold two invalid ones in front, rungs
+# and at the whole schedule. The rows hold two invalid ones in front, rung
 # counts 0 and 1, counts at both edges of the criterion head (128) and of
 # the geometric head (1024), and t = 1e-300 in the block of t = 0.3; j_max = 7
 # cuts the block in its middle.
