@@ -9,6 +9,7 @@ sums, and classifies pinch schedules by the trend of the criteria.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -280,6 +281,19 @@ def _head_rungs(ts: list[float], heads: list[int]) -> tuple[np.ndarray, object, 
     if len(heads) == 1:
         return _HEAD_RUNGS[: heads[0]], ts[0], starts
     return np.concatenate([_HEAD_RUNGS[:n] for n in heads]), np.repeat(ts, heads), starts
+
+
+def _blocks(sizes: list[int]) -> list[slice]:
+    """Runs of consecutive ladders for the ladder engine, given the points
+    each ladder brings: a run closes at the ladder that takes its points to
+    _BLOCK or past, and the last run takes what is left."""
+    ends = list(itertools.accumulate(sizes, initial=0))  # points before each ladder
+    blocks, start = [], 0
+    while start < len(sizes):
+        stop = min(bisect.bisect_left(ends, ends[start] + _BLOCK), len(sizes))
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
 
 
 def _ladder_sums(ts: list[float], counts: list[int], head: int = _HEAD, values=None,
@@ -627,21 +641,19 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
 
     Rows whose pinch length defeats the validity floor are flagged rather
     than fatal; their criterion fields are NaN. The criterion sums of the
-    valid rows go through the ladder engine in blocks of _BLOCK // _HEAD
-    ladders, each with the bits of a ``plancherel_sum`` call of its own.
+    valid rows go through the ladder engine in the blocks of ``_blocks``, a
+    ladder bringing its head rungs, each with the bits of a
+    ``plancherel_sum`` call of its own.
     """
     r = _require_positive("radius", radius)
     j_cap = _as_int("j_max", j_max)
     if j_cap < 1:
         raise DomainError(f"j_max must be >= 1, got {j_cap}")
     entries = _schedule_rows(schedule, r, j_cap)
-    valid = [(t, count) for _, _, t, _, count in entries if count is not None]
-    step = max(1, _BLOCK // _HEAD)
-    sums = []
-    for i in range(0, len(valid), step):
-        ts, counts = zip(*valid[i : i + step])
-        sums += _ladder_sums(ts, counts)
-    sums = iter(sums)
+    ts = [t for _, _, t, _, count in entries if count is not None]
+    counts = [count for *_, count in entries if count is not None]
+    sums = iter([s for block in _blocks([c if c < _HEAD else _HEAD for c in counts])
+                 for s in _ladder_sums(ts[block], counts[block])])
     rows = []
     nan = math.nan
     for j, n, t, surface, count in entries:

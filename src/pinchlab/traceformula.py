@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .certified import CertifiedValue
 from .convergence import (
-    _BLOCK,
     _EPS,
     PinchLadder,
+    _blocks,
     _head_rungs,
     _ladder_count,
     _ladder_sums,
@@ -351,47 +351,12 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     return CertifiedValue(value, radius)
 
 
-class _KernelPoints(NamedTuple):
-    """Where the geometric sides of a block of ladders read the kernel.
-
-    ``ladders`` holds each ladder as (t, n, multiplicity), n its rungs inside
-    the support; ``points`` the head rungs k t, k = 1..min(n, _GEO_HEAD), of
-    every ladder, ladder after ladder, and then, for each ladder whose n
-    passes the head, a row of ``nodes``: the Gauss-Legendre nodes of its
-    tail integral over its ``spans`` entry (lo, hi)."""
-
-    ladders: list
-    spans: list
-    nodes: np.ndarray
-    points: np.ndarray
-
-
-def _block_points(ladders: list, L: float) -> _KernelPoints:
-    """The kernel points of a block of ladders against a kernel of support L."""
-    k, at, _ = _head_rungs([t for t, _, _ in ladders], [min(n, _GEO_HEAD) for _, n, _ in ladders])
-    points = k * at
-    # the last rung may pass L by the cutoff grace; g vanishes there
-    spans = [_tail_span(t, n, _GEO_HEAD, L) for t, n, _ in ladders if n > _GEO_HEAD]
-    nodes = np.empty((0, _GEO_GAUSS))
-    if spans:
-        lo, hi = np.array(spans).T
-        x = _gauss_legendre(_GEO_GAUSS)[0]
-        nodes = lo[:, None] + (0.5 * (hi - lo))[:, None] * (x + 1.0)
-        points = np.concatenate([points, nodes.ravel()])
-    return _KernelPoints(ladders, spans, nodes, points)
-
-
-def _kernel_points(ladder: PinchLadder, L: float) -> _KernelPoints:
-    """The kernel points of one ladder against a kernel of support L: a
-    block of one, with the rungs that lie inside the support."""
-    t = ladder.pinch_length
-    return _block_points([(t, min(ladder.count, _ladder_count(t, L)), ladder.multiplicity)], L)
-
-
-def _block_sides(kp: _KernelPoints, profile: TransformProfile) -> list[CertifiedValue]:
+def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValue]:
     """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2)
-    for each ladder of a block, from one ``profile.g`` call at its kernel
-    points.
+    for each ladder (t, n, mult) of a block, n its rungs inside the support,
+    from one ``profile.g`` call at the block's kernel points: the head rungs
+    k t, k = 1..min(n, _GEO_HEAD), ladder after ladder, and then the nodes
+    of each tail's Gauss rule.
 
     The ladder engine ``_ladder_sums`` sums them, with heads of _GEO_HEAD
     rungs and tails, k = a..b, cut at the support L. This supplies the
@@ -406,36 +371,44 @@ def _block_sides(kp: _KernelPoints, profile: TransformProfile) -> list[Certified
     The rule's terms are formed for the block at once and summed per ladder,
     by fsum and a dot product over the ladder's row. The radius adds
     ``kernel_error`` times the summed weights: the engine's sum at g = 1 over
-    the same rungs, which the same call returns, with its radius.
+    the same rungs, which the same call returns, with its radius. g is
+    elementwise (``_split_series`` pads its matrix products) and the engine
+    sums each ladder on its own, so no ladder's bits depend on its block.
     """
-    ladders, spans, nodes, points = kp
     L = profile.g_support
+    ts, counts = [t for t, _, _ in ladders], [n for _, n, _ in ladders]
+    k, at, _ = _head_rungs(ts, [min(n, _GEO_HEAD) for n in counts])
+    points = k * at
+    tailed = [i for i, n in enumerate(counts) if n > _GEO_HEAD]
+    if tailed:
+        # the last rung may pass L by the cutoff grace; g vanishes there
+        spans = [_tail_span(ts[i], counts[i], _GEO_HEAD, L) for i in tailed]
+        lo, hi = np.array(spans).T
+        x, wq = _gauss_legendre(_GEO_GAUSS)
+        nodes = lo[:, None] + (0.5 * (hi - lo))[:, None] * (x + 1.0)
+        points = np.concatenate([points, nodes.ravel()])
     # a block with no rung inside the support skips the call
     values = profile.g(points) if points.size else points
-    n_head = points.size - nodes.size
     kernels = [None] * len(ladders)
-    if spans:
+    if tailed:
         g0 = profile._g0
-        tailed = [i for i, (_, n, _) in enumerate(ladders) if n > _GEO_HEAD]
         # the engine takes t^i g^(i), the derivatives in the rung number
-        scales = np.array([[ladders[i][0] ** p for p in range(7)] for i in tailed])
+        scales = np.array([[ts[i] ** p for p in range(7)] for i in tailed])
         series = (np.cos(np.outer(np.arccos(np.array(spans).ravel() / L), _ORDERS))
                   @ profile.ladder_series)
         ends = (series.reshape(-1, 2, 7)[:, :, :4] * scales[:, None, :4]).tolist()
         bounds = (scales * np.array(profile._series_sups)).tolist()
-        lo, hi = np.array(spans).T
-        w = (0.5 * (hi - lo))[:, None] * _gauss_legendre(_GEO_GAUSS)[1]
-        g_rule, csch_rule = values[n_head:].reshape(nodes.shape), 1.0 / np.sinh(0.5 * nodes)
+        w = (0.5 * (hi - lo))[:, None] * wq
+        g_rule, csch_rule = values[k.size :].reshape(nodes.shape), 1.0 / np.sinh(0.5 * nodes)
         # the two parts of each term of the rule cancel; the size counts both
         parts = memoryview((w * (g_rule * csch_rule - 2.0 * g0 / nodes)).ravel())
         sizes = np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / nodes
         for row, (i, (a, b)) in enumerate(zip(tailed, spans)):
-            log_part = 2.0 * g0 * math.log(ladders[i][1] / (_GEO_HEAD + 1) if b < L else L / a)
+            log_part = 2.0 * g0 * math.log(counts[i] / (_GEO_HEAD + 1) if b < L else L / a)
             rule = math.fsum(parts[_GEO_GAUSS * row : _GEO_GAUSS * (row + 1)])
             kernels[i] = (ends[row], bounds[row],
                           (log_part + rule, abs(log_part) + float(np.dot(w[row], sizes[row]))))
-    sums = _ladder_sums([t for t, _, _ in ladders], [n for _, n, _ in ladders], _GEO_HEAD,
-                        values[:n_head], kernels, L)
+    sums = _ladder_sums(ts, counts, _GEO_HEAD, values[: k.size], kernels, L)
     sides = []
     for (_, _, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
         (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (
@@ -444,23 +417,6 @@ def _block_sides(kp: _KernelPoints, profile: TransformProfile) -> list[Certified
         value *= 0.5 * mult
         sides.append(CertifiedValue(
             value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value)))
-    return sides
-
-
-def _ladder_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValue]:
-    """The geometric side of each ladder (t, n, multiplicity), n its rungs
-    inside the support, in order. Consecutive ladders are gathered until
-    about _BLOCK kernel points, and each block takes one ``profile.g`` call
-    and one engine call. g is elementwise: its evaluator walks a block in
-    chunks of _CHUNK points and pads each chunk's matrix product to a
-    multiple of _PAD columns, so every value is the one a call per ladder
-    gives; and the engine sums each ladder on its own."""
-    sides, start, size = [], 0, 0
-    for i, (_, n, _) in enumerate(ladders, 1):
-        size += min(n, _GEO_HEAD) + (_GEO_GAUSS if n > _GEO_HEAD else 0)
-        if size >= _BLOCK or i == len(ladders):
-            sides += _block_sides(_block_points(ladders[start:i], profile.g_support), profile)
-            start, size = i, 0
     return sides
 
 
@@ -480,7 +436,9 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
     if isinstance(spectrum, PinchLadder):
-        return _block_sides(_kernel_points(spectrum, profile.g_support), profile)[0]
+        t = spectrum.pinch_length
+        count = min(spectrum.count, _ladder_count(t, profile.g_support))
+        return _block_sides([(t, count, spectrum.multiplicity)], profile)[0]
     classes = list(spectrum)
     if not classes:
         return CertifiedValue(0.0, 0.0)
@@ -516,9 +474,12 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     profile = transform_profile(phi)
     entries = _schedule_rows(schedule, profile.g_support, j_max)
-    sides = iter(_ladder_sides([(t, count, surface.pinched_count)
-                                for _, _, t, surface, count in entries if count is not None],
-                               profile))
+    ladders = [(t, count, surface.pinched_count)
+               for _, _, t, surface, count in entries if count is not None]
+    # each ladder's kernel points: its head rungs, and its tail rule's nodes
+    sizes = [n if n <= _GEO_HEAD else _GEO_HEAD + _GEO_GAUSS for _, n, _ in ladders]
+    sides = iter([side for block in _blocks(sizes)
+                  for side in _block_sides(ladders[block], profile)])
     return [VanishingRow(j, level, t, float(next(sides)) / surface.volume, True)
             if count is not None else VanishingRow(j, level, t, math.nan, False)
             for j, level, t, surface, count in entries]

@@ -27,12 +27,8 @@ from pinchlab import (
     validity_check,
     vanishing_series,
 )
-from pinchlab.traceformula import (
-    _BLOCK,
-    _giant_split,
-    _kernel_points,
-    _split_series,
-)
+from pinchlab.convergence import _BLOCK
+from pinchlab.traceformula import _GEO_GAUSS, _GEO_HEAD, _giant_split, _split_series
 
 mp.mp.dps = 50
 
@@ -305,7 +301,7 @@ def test_split_series_is_elementwise(threads):
 _BLOCK_INDEPENDENT = """
 from pinchlab import (Schedule, bump, classify_schedule, compacted_surface, geometric_side,
                       pinch_ladder, plancherel_sum, transform_profile, vanishing_series)
-from pinchlab import convergence, traceformula
+from pinchlab import convergence
 
 phi = bump(0.1)
 profile = transform_profile(phi)
@@ -340,13 +336,12 @@ def block_rows(j_max):
 for j_max in (len(pinches), 7):
     own = own_rows(j_max)
     assert [row[0] for row in own] == [False] * 2 + [True] * (j_max - 2)
-    # classify_schedule takes _BLOCK // _HEAD ladders a block and
-    # vanishing_series about _BLOCK kernel points: their own sizes, one row
-    # and the whole schedule
-    for blocks in ((convergence._BLOCK, traceformula._BLOCK), (convergence._HEAD, 1),
-                   (10**9, 10**9)):
-        convergence._BLOCK, traceformula._BLOCK = blocks
-        assert block_rows(j_max) == own, (j_max, blocks)
+    # both passes group their ladders by convergence._blocks: at its own
+    # size, at one ladder a block (a zero-rung row joins the next) and at the
+    # whole schedule
+    for block in (convergence._BLOCK, 1, 10**9):
+        convergence._BLOCK = block
+        assert block_rows(j_max) == own, (j_max, block)
 print("independent")
 """
 
@@ -655,10 +650,13 @@ def _per_row(schedule, phi, j_max):
 
 
 def _kernel_point_count(schedule, S):
+    """The kernel points of a schedule's valid rows: each ladder's head
+    rungs, and the nodes of its tail rule if it has a tail."""
     L = transform_profile(bump(S)).g_support
-    return sum(_kernel_points(short_spectrum(level, t, L), L).points.size
-               for level, t in zip(schedule.levels, schedule.pinch_lengths)
-               if validity_check(level, t, L))
+    counts = [short_spectrum(level, t, L).count
+              for level, t in zip(schedule.levels, schedule.pinch_lengths)
+              if validity_check(level, t, L)]
+    return sum(n if n <= _GEO_HEAD else _GEO_HEAD + _GEO_GAUSS for n in counts)
 
 
 def test_vanishing_series_batches_match_per_row_blocks():
