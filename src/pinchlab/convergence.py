@@ -46,6 +46,15 @@ def _validate_pinch(t) -> float:
     return t
 
 
+def _validate_multiplicity(m) -> int:
+    m = _as_int("multiplicity", m)
+    if m < 1:
+        raise DomainError(f"multiplicity must be >= 1, got {m}")
+    if m > sys.float_info.max:  # the sums scale by float(m)
+        raise DomainError(f"multiplicity has {m.bit_length()} bits, past the float range")
+    return m
+
+
 @dataclass(frozen=True)
 class CompactedSurface:
     """The closed surface obtained by trading every cusp for a pinched geodesic."""
@@ -68,8 +77,7 @@ class GeodesicClass:
     def __post_init__(self) -> None:
         length = _require_positive("length", self.length)
         primitive = _require_positive("primitive_length", self.primitive_length)
-        if _as_int("multiplicity", self.multiplicity) < 1:
-            raise DomainError(f"multiplicity must be >= 1, got {self.multiplicity!r}")
+        _validate_multiplicity(self.multiplicity)
         ratio = length / primitive
         if not math.isfinite(ratio):
             raise DomainError(f"length / primitive_length overflows: {length!r} / {primitive!r}")
@@ -107,12 +115,9 @@ class PinchLadder:
     def __init__(self, pinch_length: float, radius: float, multiplicity: int) -> None:
         t = _validate_pinch(pinch_length)
         r = _require_positive("radius", radius)
-        m = _as_int("multiplicity", multiplicity)
-        if m < 1:
-            raise DomainError(f"multiplicity must be >= 1, got {m}")
         self.pinch_length = t
         self.radius = r
-        self.multiplicity = m
+        self.multiplicity = _validate_multiplicity(multiplicity)
         self.count = _ladder_count(t, r)
 
     def __len__(self) -> int:

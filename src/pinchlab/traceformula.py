@@ -28,7 +28,7 @@ from .convergence import (
     _schedule_rows,
     _tail_span,
 )
-from .errors import _TEXT, DomainError, _as_int, _as_real, _read_real, _require_positive
+from .errors import DomainError, _as_int, _as_real, _read_real, _require_positive
 from .hyperbolic import _acosh1p, _sinh_half
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
@@ -183,6 +183,17 @@ def _derivative(a: np.ndarray) -> np.ndarray:
     return b
 
 
+def _nested_reals(u):
+    """u read as ``errors._read_real`` reads a real, or, for a list, a tuple
+    or an array, the nested lists of such reads. Unlike numpy, it never
+    reads the bytes of a buffer as numbers."""
+    if isinstance(u, np.ndarray):
+        u = u.tolist()
+    if isinstance(u, (list, tuple)):
+        return [_nested_reals(x) for x in u]
+    return _read_real("u", u)
+
+
 @dataclass(frozen=True, eq=False)
 class TransformProfile:
     """The packaged (g, h) pair for one test function.
@@ -221,12 +232,11 @@ class TransformProfile:
         L = self.g_support
         if isinstance(u, np.ndarray) and u.dtype.kind in "fiu":
             arr = np.abs(u.astype(float, copy=False))
-        elif isinstance(u, _TEXT):  # numpy would read their bytes as numbers
-            raise DomainError(f"g needs reals, got {u!r}")
         else:
-            points = np.asarray(u, dtype=object)
-            arr = np.abs(np.array([_read_real("u", x) for x in points.ravel().tolist()],
-                                  dtype=float).reshape(points.shape))
+            try:
+                arr = np.abs(np.array(_nested_reals(u), dtype=float))
+            except ValueError:  # lists of unequal lengths
+                raise DomainError(f"g needs a real or an array of reals, got {u!r}") from None
         out = np.where(arr >= L, 0.0, _split_series(self._split, np.minimum(arr, L) / L))
         if out.ndim == 0:
             return float(out)
@@ -452,13 +462,15 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
 
 @dataclass(frozen=True)
 class VanishingRow:
-    """One schedule entry of the normalized geometric side; NaN when the
-    support radius defeats the validity floor."""
+    """One schedule entry of the normalized geometric side and its radius,
+    both divided by the surface volume; NaN when the support radius defeats
+    the validity floor."""
 
     j: int
     level: int
     pinch: float
     normalized: float
+    radius: float
     valid: bool
 
 
@@ -478,8 +490,11 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
                for _, _, t, surface, count in entries if count is not None]
     # each ladder's kernel points: its head rungs, and its tail rule's nodes
     sizes = [n if n <= _GEO_HEAD else _GEO_HEAD + _GEO_GAUSS for _, n, _ in ladders]
-    sides = iter([side for block in _blocks(sizes)
+    sides = iter([(float(side), side.radius) for block in _blocks(sizes)
                   for side in _block_sides(ladders[block], profile)])
-    return [VanishingRow(j, level, t, float(next(sides)) / surface.volume, True)
-            if count is not None else VanishingRow(j, level, t, math.nan, False)
-            for j, level, t, surface, count in entries]
+    rows = []
+    for j, level, t, surface, count in entries:
+        value, radius = next(sides) if count is not None else (math.nan, math.nan)
+        rows.append(VanishingRow(j, level, t, value / surface.volume, radius / surface.volume,
+                                 count is not None))
+    return rows

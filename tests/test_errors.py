@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from pinchlab import (
     CertifiedValue,
     DomainError,
+    GeodesicClass,
     bump,
     distortion_bound,
     harmonic_sum,
     injrad_from_collar,
+    pinch_ladder,
     sandwich_bounds,
     surface_data,
     thin_part_upper_bound,
@@ -57,6 +60,9 @@ HUGE = 10**400  # an integer past the float range; float() raises OverflowError
     lambda: transform_profile(bump(1.0)).g(True),
     lambda: transform_profile(bump(1.0)).g([0.5, True]),
     lambda: transform_profile(bump(1.0)).g(np.array([True])),
+    lambda: transform_profile(bump(1.0)).g([[memoryview(b"\x01")]]),
+    lambda: transform_profile(bump(1.0)).g([bytearray(b"2")]),
+    lambda: transform_profile(bump(1.0)).g([[0.5, 0.6], [0.7]]),
 ], ids=["sandwich_radius", "sandwich_radius_str", "injrad_offset", "distortion_eps",
         "bump_amplitude", "certified_radius", "certified_value", "profile_h_huge",
         "profile_g_str", "bump_support_numeric_str", "sandwich_radius_numeric_str",
@@ -64,7 +70,25 @@ HUGE = 10**400  # an integer past the float range; float() raises OverflowError
         "bump_support_bytearray", "bump_support_memoryview", "bump_support_numpy_bool",
         "certified_value_bytearray", "profile_g_numeric_str", "profile_g_str_list",
         "profile_g_str_array", "profile_g_bytearray", "profile_g_bool",
-        "profile_g_bool_in_list", "profile_g_bool_array"])
+        "profile_g_bool_in_list", "profile_g_bool_array", "profile_g_nested_memoryview",
+        "profile_g_bytearray_in_list", "profile_g_ragged_list"])
 def test_unreadable_reals_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pinch_ladder(0.1, 1.0, HUGE),
+    lambda: GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=HUGE),
+], ids=["ladder", "class"])
+def test_multiplicities_past_the_float_range_raise_domain_error(call):
+    # the sums scale by float(multiplicity), which would raise OverflowError
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_largest_multiplicity_and_counts_past_int64_stay_legal():
+    top = int(sys.float_info.max)
+    ladder = pinch_ladder(1e-300, 1.0, top)
+    assert ladder.count > 2**63 and ladder.multiplicity == top
+    assert GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=top).multiplicity == top

@@ -172,6 +172,10 @@ def test_g_reads_lists_as_it_reads_reals(profile1):
     assert profile1.g([10**400, 0.5, -(10**400)]).tolist() == [0.0, profile1.g(0.5), 0.0]
     points = [0.1, 0.5, 0.9, 3]
     assert profile1.g(points).tobytes() == profile1.g(np.array(points, dtype=float)).tobytes()
+    for nested in (tuple(points), np.array(points, dtype=object)):
+        assert profile1.g(nested).tobytes() == profile1.g(points).tobytes()
+    assert profile1.g([points[:2], points[2:]]).tolist() == [profile1.g(points).tolist()[:2],
+                                                             profile1.g(points).tolist()[2:]]
     assert profile1.g(np.array([0, 2])).tolist() == [profile1.g(0.0), 0.0]
 
 
@@ -616,8 +620,8 @@ def test_vanishing_series_flags_uncertified_rows():
     phi = bump(2.0 * math.cosh(1.6) - 2.0)
     sched = Schedule.explicit("wide", [3, 5], [0.45, 0.2])
     rows = vanishing_series(sched, phi, 10)
-    assert not rows[0].valid and math.isnan(rows[0].normalized)
-    assert rows[1].valid and math.isfinite(rows[1].normalized)
+    assert not rows[0].valid and math.isnan(rows[0].normalized) and math.isnan(rows[0].radius)
+    assert rows[1].valid and math.isfinite(rows[1].normalized) and rows[1].radius > 0.0
 
 
 def test_vanishing_series_superexponential():
@@ -636,17 +640,23 @@ def test_vanishing_series_superexponential():
 
 
 def _per_row(schedule, phi, j_max):
-    """vanishing_series one row at a time, through geometric_side."""
+    """vanishing_series one row at a time, through geometric_side: the hex
+    of each row's value and radius over the volume, "nan" on invalid rows."""
     profile = transform_profile(phi)
     L = profile.g_support
     rows = []
     for level, t in list(zip(schedule.levels, schedule.pinch_lengths))[:j_max]:
         if not validity_check(level, t, L):
-            rows.append(math.nan)
+            rows.append(("nan", "nan"))
             continue
         side = geometric_side(short_spectrum(level, t, L), profile)
-        rows.append(float(side) / compacted_surface(level, t).volume)
+        volume = compacted_surface(level, t).volume
+        rows.append(((float(side) / volume).hex(), (side.radius / volume).hex()))
     return rows
+
+
+def _hex_rows(rows):
+    return [(row.normalized.hex(), row.radius.hex()) for row in rows]
 
 
 def _kernel_point_count(schedule, S):
@@ -664,8 +674,7 @@ def test_vanishing_series_batches_match_per_row_blocks():
     sched = Schedule.from_rule("recip", range(3, 401), "reciprocal")
     assert _kernel_point_count(sched, 1.0) > 2 * _BLOCK
     rows = vanishing_series(sched, bump(1.0), 1000)
-    assert [row.normalized.hex() for row in rows] == [
-        v.hex() for v in _per_row(sched, bump(1.0), 1000)]
+    assert _hex_rows(rows) == _per_row(sched, bump(1.0), 1000)
 
 
 def test_vanishing_series_batches_match_per_row_empty_ladder():
@@ -675,8 +684,7 @@ def test_vanishing_series_batches_match_per_row_empty_ladder():
     assert short_spectrum(3, 1.0 / 3.0, L).count == 0
     rows = vanishing_series(sched, bump(0.1), 100)
     assert rows[0].valid and rows[0].normalized == 0.0
-    assert [row.normalized.hex() for row in rows] == [
-        v.hex() for v in _per_row(sched, bump(0.1), 100)]
+    assert _hex_rows(rows) == _per_row(sched, bump(0.1), 100)
 
 
 def test_vanishing_series_batches_match_per_row_invalid_rows():
@@ -690,8 +698,7 @@ def test_vanishing_series_batches_match_per_row_invalid_rows():
     assert _kernel_point_count(sched, phi.support_bound) > 2 * _BLOCK
     rows = vanishing_series(sched, phi, 1000)
     assert [row.valid for row in rows] == [False] * 5 + [True] * 52
-    assert [row.normalized.hex() for row in rows] == [
-        v.hex() for v in _per_row(sched, phi, 1000)]
+    assert _hex_rows(rows) == _per_row(sched, phi, 1000)
 
 
 def test_vanishing_series_respects_j_max():
