@@ -278,15 +278,17 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
     series with the rule for h.
 
     Each value g(u) = 2 int_0^(s_max) phi(2 cosh u - 2 + s^2) ds takes a
-    128-point Gauss-Legendre rule in s. The values fix the 128 even
-    coefficients of the degree-255 interpolant on the Chebyshev points of
-    [-L, L]. h(r) is the cosine integral of that series by a 384-point
-    Gauss-Legendre rule on the support, one route for every r.
+    128-point Gauss-Legendre rule in s. 2 cosh u - 2 is formed as
+    4 sinh^2(u/2): the difference cancels for small u, and small supports
+    put every node there. The values fix the 128 even coefficients of the
+    degree-255 interpolant on the Chebyshev points of [-L, L]. h(r) is the
+    cosine integral of that series by a 384-point Gauss-Legendre rule on
+    the support, one route for every r.
     """
     S = phi.support_bound
     L = _acosh1p(0.5 * S)
     beta = L * _NODES
-    v = 2.0 * np.cosh(beta) - 2.0
+    v = 4.0 * np.sinh(0.5 * beta) ** 2
     s_max = np.sqrt(np.maximum(S - v, 0.0))
     xi, wq = _gauss_legendre(128)
     xi = 0.5 * (xi + 1.0)

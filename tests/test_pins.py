@@ -13,7 +13,16 @@ through the term |B_128 - B_64| of the Fermi moment.
 
 The bits of ``vanishing_series`` and ``geometric_side`` were recorded from
 the code as it stood before the ladder engine took blocks of ladders, when
-each ladder still made its own engine call."""
+each ladder still made its own engine call.
+
+The ``trace-check``, ``vanishing_series`` and ``geometric_side`` bits were
+re-recorded when ``transform_profile`` began to form 2 cosh(u) - 2 at its
+nodes as 4 sinh(u/2)^2, which does not cancel at small u (below S = 1e-16
+the old form lost phi(0) entirely). Every kernel value moved in its last
+bits. In ``trace-check`` the radii moved by -3.9% to +1.1% (+1.1% at
+S = 1) and every value stayed within its radius of phi(0). The
+``geometric_side`` values moved by at most 4.5e-16 relative and their radii
+by -2.3% to +0.6%."""
 
 import hashlib
 import json
@@ -74,14 +83,14 @@ PLANCHEREL_SUM_HEX = {
 
 # sha256 of the ``trace-check`` CSV over these supports at tol 1e-9
 TRACE_CHECK_SUPPORTS = "0.25,0.5,0.75,1,2,4,8"
-TRACE_CHECK_CSV_SHA256 = "27bf6cd5faebfd5c5a84b6733a89b3923ef865f5ffdf458e8665aa1d478113c0"
+TRACE_CHECK_CSV_SHA256 = "506d5b51bdc43949512726f04fbb831c710c93f3536b72b99dbba4ee2373f8bd"
 
 # sha256 of the ``float.hex`` of the normalized column of ``vanishing_series``
 # over reciprocal 3..2000, one row a line, keyed by the support S of bump(S)
 VANISHING_SERIES_SHA256 = {
-    0.25: "ca866edc986a00c6c5945ab8a6959112ed50f03cc45bc09049aed6055d356a40",
-    1.0: "f1a88643de25cde7ce28437817984c2f8efaadc8aae0ac101a23b1ce12e3ad1e",
-    8.0: "bb4702425c39353a909e7da96b642f4b6af9ad58ad0acb03b56736592ab453cf",
+    0.25: "f8fa38ee7de76b2fbca280a4bc06b8e6146b1baf544503e28dbf204742266299",
+    1.0: "879befc2880fefac1ac3d483b9875d162340a1d0ae31726bc2f10366cce7ea4b",
+    8.0: "a3b6b82a6db9c33ec693196ddff804272b7b9e2bce30a3903531da1c21f52d53",
 }
 
 # (float.hex of the value, float.hex of the radius) of geometric_side against
@@ -89,20 +98,20 @@ VANISHING_SERIES_SHA256 = {
 # out to the support L, which has that many rungs (about 1e299 for the last);
 # "classes" is the t = 1e-3 ladder as a list of classes
 GEOMETRIC_SIDE_HEX = {
-    (0.75, 100): ("0x1.b145c6093d164p+4", "0x1.312202319b60bp-42"),
-    (0.75, 1024): ("0x1.4507ec2b89865p+5", "0x1.bd0f927955b93p-42"),
-    (0.75, 1025): ("0x1.45139524146eep+5", "0x1.e1b088c1d331bp-42"),
-    (0.75, 10**6): ("0x1.43327e5b52608p+6", "0x1.041905d18cc7ep-40"),
-    (0.75, 10**10): ("0x1.0d18b163c0ddcp+7", "0x1.a97316223baf3p-40"),
-    (0.75, 10**299): ("0x1.f63d0c8c9009ep+11", "0x1.4e30fd1390dbep-35"),
-    (0.75, "classes"): ("0x1.3bd1576a5b0c3p+5", "0x1.a6f0b5e64fd82p-42"),
-    (1.0, 100): ("0x1.f49c0ae1e7bf1p+4", "0x1.7e8737d8a8a52p-42"),
-    (1.0, 1024): ("0x1.7777d93538d3dp+5", "0x1.16dd03f0c9ca5p-41"),
-    (1.0, 1025): ("0x1.77854ff493404p+5", "0x1.2d3e2f2c7fd31p-41"),
-    (1.0, 10**6): ("0x1.7545fda7e9615p+6", "0x1.415ef0572095cp-40"),
-    (1.0, 10**10): ("0x1.36c3b6f61eea6p+7", "0x1.06e811b0f5028p-39"),
-    (1.0, 10**299): ("0x1.21f7fe740e7e5p+12", "0x1.a17974766b74ep-35"),
-    (1.0, "classes"): ("0x1.74193f7e38d8dp+5", "0x1.0e7059b9c9671p-41"),
+    (0.75, 100): ("0x1.b145c6093d164p+4", "0x1.2a57f34a50f03p-42"),
+    (0.75, 1024): ("0x1.4507ec2b89864p+5", "0x1.b33963cf94d88p-42"),
+    (0.75, 1025): ("0x1.45139524146eep+5", "0x1.d7de9f16912d2p-42"),
+    (0.75, 10**6): ("0x1.43327e5b52608p+6", "0x1.fec2848ac898fp-41"),
+    (0.75, 10**10): ("0x1.0d18b163c0ddbp+7", "0x1.a1b5a77008067p-40"),
+    (0.75, 10**299): ("0x1.f63d0c8c9009bp+11", "0x1.4720452be337bp-35"),
+    (0.75, "classes"): ("0x1.3bd1576a5b0c2p+5", "0x1.9d5ca65cf4d04p-42"),
+    (1.0, 100): ("0x1.f49c0ae1e7bf2p+4", "0x1.80f36b2be9ef0p-42"),
+    (1.0, 1024): ("0x1.7777d93538d3fp+5", "0x1.189e6c6a6f89fp-41"),
+    (1.0, 1025): ("0x1.77854ff493406p+5", "0x1.2efce54a95711p-41"),
+    (1.0, 10**6): ("0x1.7545fda7e9616p+6", "0x1.430e263ffde34p-40"),
+    (1.0, 10**10): ("0x1.36c3b6f61eea8p+7", "0x1.0849d459e5a84p-39"),
+    (1.0, 10**299): ("0x1.21f7fe740e7e6p+12", "0x1.a3ff6bee4da65p-35"),
+    (1.0, "classes"): ("0x1.74193f7e38d8fp+5", "0x1.102e034b1a310p-41"),
 }
 
 # the ``systole`` CSV row without its ``candidates`` column, keyed by (level, entry bound)

@@ -465,6 +465,17 @@ def test_spectral_integral_encloses_phi0_large_support(S):
     assert abs(float(value) - math.exp(-1.0)) <= value.radius <= 1e-4
 
 
+def test_spectral_integral_encloses_phi0_across_small_supports():
+    # the supports run from the float floor up; below S = 1 the kernel's
+    # nodes sit at v = 2 cosh(beta) - 2 near 0, where that difference cancels
+    misses = []
+    for S in np.geomspace(1e-300, 200.0, 201):
+        value = plancherel_integral(transform_profile(bump(S)))
+        if not abs(float(value) - math.exp(-1.0)) <= value.radius:
+            misses.append((float(S), float(value), value.radius))
+    assert not misses, f"{len(misses)} supports miss 1/e, first {misses[:3]}"
+
+
 def test_spectral_integral_refuses_aliased_support():
     # g_support = 115.1 puts r = 14 past the reach of h
     with pytest.raises(DomainError):
