@@ -646,9 +646,9 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
 
     Rows whose pinch length defeats the validity floor are flagged rather
     than fatal; their criterion fields are NaN. The criterion sums of the
-    valid rows go through the ladder engine in the blocks of ``_blocks``, a
-    ladder bringing its head rungs, each with the bits of a
-    ``plancherel_sum`` call of its own.
+    valid rows go through the ladder engine in blocks of about _BLOCK head
+    rungs, grouped by ``_blocks`` as ``vanishing_series`` groups its rows,
+    and each row keeps the bits of a ``plancherel_sum`` call of its own.
     """
     r = _require_positive("radius", radius)
     j_cap = _as_int("j_max", j_max)

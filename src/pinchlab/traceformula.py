@@ -11,7 +11,7 @@ length spectrum. Both evaluations return a value with an error radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -207,9 +207,11 @@ class TransformProfile:
     ``kernel_error`` is an estimate, not a bound, of its distance to the
     exact kernel: twice the sum of the last 8 coefficients (the trailing
     plateau, after Aurentz and Trefethen, "Chopping a Chebyshev series", ACM
-    TOMS 2017) plus a few ulp of the coefficient sum for roundoff. The
-    columns of ``ladder_series`` are g, g', ..., g^(6) (derivatives in u) as
-    full Chebyshev series in T_k(u/L), k = 0..254, for the geometric side.
+    TOMS 2017) plus a few ulp of the coefficient sum for roundoff. It reads
+    only the coefficients, so it does not see errors in the sampled values
+    of g that the coefficients interpolate. The columns of ``ladder_series``
+    are g, g', ..., g^(6) (derivatives in u) as full Chebyshev series in
+    T_k(u/L), k = 0..254, for the geometric side.
     ``h_batch`` is the cosine transform of g over float arrays by a fixed
     rule, accurate to about 1e-12 absolute while |r| * g_support stays at or
     below 1300; past that the rule aliases and it raises DomainError. ``h``
@@ -219,9 +221,11 @@ class TransformProfile:
     ``g`` takes a real or an array and sums the series by baby and giant
     steps (``_split_series``), so an array call gives the bits of a call per
     point; the rule for h reads g at its 384 nodes through it. It reads its
-    argument as ``errors._read_real`` reads a real: text and truth values
-    raise DomainError, and a real past the float range lies beyond the
-    support, where g is 0. Arrays of numbers are read as they stand.
+    argument as ``errors._read_real`` reads a real, also inside nested lists
+    (``_nested_reals``): text and truth values raise DomainError, and a real
+    past the float range lies beyond the support, where g is 0. Lists of
+    unequal lengths raise DomainError. Arrays of numbers are read as they
+    stand.
     """
 
     g_support: float
@@ -389,8 +393,10 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
     """
     L = profile.g_support
     ts, counts = [t for t, _, _ in ladders], [n for _, n, _ in ladders]
-    k, at, _ = _head_rungs(ts, [min(n, _GEO_HEAD) for n in counts])
-    points = k * at
+    # the head rungs k t, formed in one expression so that the rung numbers
+    # are not held through the kernel call and the engine's own copy of them
+    points = np.multiply(*_head_rungs(ts, [min(n, _GEO_HEAD) for n in counts])[:2])
+    n_head = points.size
     tailed = [i for i, n in enumerate(counts) if n > _GEO_HEAD]
     if tailed:
         # the last rung may pass L by the cutoff grace; g vanishes there
@@ -411,7 +417,7 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
         ends = (series.reshape(-1, 2, 7)[:, :, :4] * scales[:, None, :4]).tolist()
         bounds = (scales * np.array(profile._series_sups)).tolist()
         w = (0.5 * (hi - lo))[:, None] * wq
-        g_rule, csch_rule = values[k.size :].reshape(nodes.shape), 1.0 / np.sinh(0.5 * nodes)
+        g_rule, csch_rule = values[n_head:].reshape(nodes.shape), 1.0 / np.sinh(0.5 * nodes)
         # the two parts of each term of the rule cancel; the size counts both
         parts = memoryview((w * (g_rule * csch_rule - 2.0 * g0 / nodes)).ravel())
         sizes = np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / nodes
@@ -420,7 +426,7 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
             rule = math.fsum(parts[_GEO_GAUSS * row : _GEO_GAUSS * (row + 1)])
             kernels[i] = (ends[row], bounds[row],
                           (log_part + rule, abs(log_part) + float(np.dot(w[row], sizes[row]))))
-    sums = _ladder_sums(ts, counts, _GEO_HEAD, values[: k.size], kernels, L)
+    sums = _ladder_sums(ts, counts, _GEO_HEAD, values[:n_head], kernels, L)
     sides = []
     for (_, _, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
         (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (
@@ -464,16 +470,23 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
 
 @dataclass(frozen=True)
 class VanishingRow:
-    """One schedule entry of the normalized geometric side and its radius,
-    both divided by the surface volume; NaN when the support radius defeats
-    the validity floor."""
+    """One schedule entry of the normalized geometric side and its
+    ``radius``, both divided by the surface volume; NaN when the support
+    radius defeats the validity floor.
+
+    ``radius`` is set at construction but is not a dataclass field, so
+    ``dataclasses.astuple`` still gives the five fields that callers unpack.
+    """
 
     j: int
     level: int
     pinch: float
     normalized: float
-    radius: float
     valid: bool
+    radius: InitVar[float]
+
+    def __post_init__(self, radius: float) -> None:
+        object.__setattr__(self, "radius", radius)
 
 
 def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
@@ -497,6 +510,6 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
     rows = []
     for j, level, t, surface, count in entries:
         value, radius = next(sides) if count is not None else (math.nan, math.nan)
-        rows.append(VanishingRow(j, level, t, value / surface.volume, radius / surface.volume,
-                                 count is not None))
+        rows.append(VanishingRow(j, level, t, value / surface.volume, count is not None,
+                                 radius / surface.volume))
     return rows
