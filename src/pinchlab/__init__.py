@@ -90,50 +90,27 @@ def __dir__():
 
 __all__ = [
     "CertifiedValue",
-    "CompactedSurface",
     "CongruenceSurfaceData",
-    "DomainError",
-    "GeodesicClass",
     "IntegerMatrix2",
+    "index_d",
+    "is_in_gamma",
+    "min_hyperbolic_trace",
+    "search_size_estimate",
+    "surface_data",
+    "witness_matrix",
+    "DomainError",
     "InternalInvariantViolation",
     "NotHyperbolic",
-    "PinchLadder",
     "PinchlabError",
-    "STANDARD_COLLAR_RADIUS",
-    "Schedule",
-    "ScheduleReport",
-    "ScheduleRow",
-    "TestFunction",
-    "TransformProfile",
     "ValidityError",
-    "VanishingRow",
-    "bs_ratio",
-    "bump",
-    "classify_schedule",
+    "STANDARD_COLLAR_RADIUS",
     "collar_width",
     "collar_width_at_radius",
-    "compacted_surface",
     "crossing_length_bound",
     "cylinder_volume",
     "distortion_bound",
-    "geometric_side",
-    "harmonic_sum",
-    "index_d",
     "injrad_from_collar",
-    "is_in_gamma",
     "length_from_trace",
-    "min_hyperbolic_trace",
-    "other_geodesic_floor",
-    "pinch_ladder",
-    "plancherel_integral",
-    "plancherel_sum",
-    "sandwich_bounds",
-    "search_size_estimate",
-    "short_spectrum",
-    "surface_data",
     "thin_part_upper_bound",
-    "transform_profile",
-    "validity_check",
-    "vanishing_series",
-    "witness_matrix",
+    *_LAZY,
 ]

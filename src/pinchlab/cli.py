@@ -8,6 +8,13 @@ nondeterministic field is meta.wall_clock_s in JSON output. Files are written
 atomically (temp file + rename). Exit codes: 0 success, 1 identity or
 assertion failure, 2 usage.
 
+Each handler returns its rows, its verdicts and its exit code. A row is a
+dict whose keys, in order, are the columns, so the CSV header and the JSON
+row keys are read from the rows themselves; ``schedule`` takes its keys from
+the ScheduleRow fields. The verdicts are one dict of name to verdict, printed
+as ``# name: verdict`` lines after the CSV rows and under "verdicts" in JSON
+when there are any.
+
 ``survey`` and ``systole`` run on the exact layer alone, so they never
 import numpy. ``schedule`` and ``trace-check`` need ``convergence`` or
 ``traceformula``; ``main`` imports that module before it starts the clock,
@@ -43,12 +50,11 @@ def _fmt_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _csv_text(columns: list[str], rows: list[dict], footer: list[str]) -> str:
-    lines = [",".join(columns)]
+def _csv_text(rows: list[dict], verdicts: dict) -> str:
+    lines = [",".join(rows[0])]
     for row in rows:
         cells = []
-        for col in columns:
-            v = row[col]
+        for v in row.values():
             if isinstance(v, bool):
                 cells.append("true" if v else "false")
             elif isinstance(v, int):
@@ -58,7 +64,7 @@ def _csv_text(columns: list[str], rows: list[dict], footer: list[str]) -> str:
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
-    lines.extend(footer)
+    lines.extend(f"# {name}: {verdict}" for name, verdict in verdicts.items())
     return "\n".join(lines) + "\n"
 
 
@@ -70,9 +76,10 @@ def _json_cell(v):
     return v
 
 
-def _json_text(columns, rows, extra: dict, command: str, params: dict, wall: float) -> str:
-    doc = {"rows": [{col: _json_cell(row[col]) for col in columns} for row in rows]}
-    doc.update(extra)
+def _json_text(rows, verdicts: dict, command: str, params: dict, wall: float) -> str:
+    doc = {"rows": [{col: _json_cell(v) for col, v in row.items()} for row in rows]}
+    if verdicts:
+        doc["verdicts"] = verdicts
     doc["meta"] = {
         "version": __version__,
         "command": command,
@@ -106,10 +113,6 @@ def _cmd_survey(params: dict):
         raise _UsageError(
             f"need 3 <= n-min <= n-max <= 10000, got n-min={n_min}, n-max={n_max}"
         )
-    columns = [
-        "N", "index_d", "genus", "cusps", "systole", "area",
-        "compacted_genus", "compacted_volume",
-    ]
     rows = []
     for n in range(n_min, n_max + 1):
         sd = surface_data(n)
@@ -124,7 +127,7 @@ def _cmd_survey(params: dict):
             "compacted_genus": sd.genus + pairs,
             "compacted_volume": sd.area,
         })
-    return columns, rows, {}, [], 0
+    return rows, {}, 0
 
 
 def _cmd_systole(params: dict):
@@ -141,10 +144,6 @@ def _cmd_systole(params: dict):
     expected = level * level - 2
     w = witness_matrix(level)
     passed = found == expected
-    columns = [
-        "level", "entry_bound", "candidates", "min_abs_trace", "expected_trace",
-        "witness_a", "witness_b", "witness_c", "witness_d", "passed",
-    ]
     rows = [{
         "level": level,
         "entry_bound": bound,
@@ -157,7 +156,7 @@ def _cmd_systole(params: dict):
         "witness_d": w.d,
         "passed": passed,
     }]
-    return columns, rows, {}, [], 0 if passed else 1
+    return rows, {}, 0 if passed else 1
 
 
 def _require_field(doc: dict, path: str, key: str):
@@ -209,6 +208,10 @@ def _schedule_from_config(doc):
         raise _UsageError(f"config rejected: {exc}") from exc
 
 
+# the ScheduleRow fields whose CSV and JSON columns carry another name
+_SCHEDULE_COLUMNS = {"level": "N", "pinch": "t", "pl_sum_radius": "pl_sum_err"}
+
+
 def _cmd_schedule(params: dict):
     from .convergence import classify_schedule
 
@@ -227,34 +230,10 @@ def _cmd_schedule(params: dict):
     if j_max < 1:
         raise _UsageError(f"j-max must be >= 1, got {j_max}")
     report = classify_schedule(schedule, radius, j_max)
-    columns = [
-        "j", "N", "t", "b_pairs", "genus", "volume", "bs_ratio",
-        "pl_sum", "pl_sum_err", "pl_norm", "lower", "upper", "valid",
-    ]
-    rows = [{
-        "j": row.j,
-        "N": row.level,
-        "t": row.pinch,
-        "b_pairs": row.b_pairs,
-        "genus": row.genus,
-        "volume": row.volume,
-        "bs_ratio": row.bs_ratio,
-        "pl_sum": row.pl_sum,
-        "pl_sum_err": row.pl_sum_radius,
-        "pl_norm": row.pl_norm,
-        "lower": row.lower,
-        "upper": row.upper,
-        "valid": row.valid,
-    } for row in report.rows]
-    footer = [
-        f"# plancherel: {report.plancherel_verdict}",
-        f"# bs: {report.bs_verdict}",
-    ]
-    extra = {"verdicts": {
-        "plancherel": report.plancherel_verdict,
-        "bs": report.bs_verdict,
-    }}
-    return columns, rows, extra, footer, 0
+    columns = [_SCHEDULE_COLUMNS.get(field, field) for field in vars(report.rows[0])]
+    rows = [dict(zip(columns, vars(row).values())) for row in report.rows]
+    verdicts = {"plancherel": report.plancherel_verdict, "bs": report.bs_verdict}
+    return rows, verdicts, 0
 
 
 def _cmd_trace_check(params: dict):
@@ -270,30 +249,19 @@ def _cmd_trace_check(params: dict):
     tol = params["tol"]
     if not (math.isfinite(tol) and tol > 0.0):
         raise _UsageError(f"tol must be > 0, got {tol}")
-    columns = ["S", "integral", "integral_radius", "phi0", "abs_error", "passed"]
+    phi0 = math.exp(-1.0)
     rows = []
-    all_ok = True
     for s in supports:
-        phi0 = math.exp(-1.0)
+        integral = radius = math.nan
         try:
-            profile = transform_profile(bump(s, 1.0))
-            value = plancherel_integral(profile)
-            err = abs(float(value) - phi0)
-            ok = err <= tol
-            row = {
-                "S": float(s), "integral": float(value),
-                "integral_radius": value.radius, "phi0": phi0,
-                "abs_error": err, "passed": ok,
-            }
+            value = plancherel_integral(transform_profile(bump(s, 1.0)))
+            integral, radius = float(value), value.radius
         except PinchlabError:
-            ok = False
-            row = {
-                "S": float(s), "integral": math.nan, "integral_radius": math.nan,
-                "phi0": phi0, "abs_error": math.nan, "passed": False,
-            }
-        all_ok = all_ok and ok
-        rows.append(row)
-    return columns, rows, {}, [], 0 if all_ok else 1
+            pass
+        err = abs(integral - phi0)
+        rows.append({"S": s, "integral": integral, "integral_radius": radius, "phi0": phi0,
+                     "abs_error": err, "passed": err <= tol})
+    return rows, {}, 0 if all(row["passed"] for row in rows) else 1
 
 
 _HANDLERS = {
@@ -358,7 +326,7 @@ def main(argv=None) -> int:
         importlib.import_module(_NUMERIC_MODULES[args.command], __package__)
     start = time.perf_counter()
     try:
-        columns, rows, extra, footer, code = _HANDLERS[args.command](params)
+        rows, verdicts, code = _HANDLERS[args.command](params)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -367,9 +335,9 @@ def main(argv=None) -> int:
         return 1
     wall = time.perf_counter() - start
     if args.format == "csv":
-        text = _csv_text(columns, rows, footer)
+        text = _csv_text(rows, verdicts)
     else:
-        text = _json_text(columns, rows, extra, args.command, params, wall)
+        text = _json_text(rows, verdicts, args.command, params, wall)
     _write_output(args.out, text)
     return code
 

@@ -36,6 +36,16 @@ _NORMAL_Y = 708.0  # e^-y is a normal float up to here, subnormal or 0 past it
 _TINY = math.ulp(0.0)  # the smallest positive float
 
 
+def _fsum(terms) -> float:
+    """math.fsum, but NaN where the sum overflows the float range or meets
+    infinities of both signs, so that the caller's check of its result can
+    name the cause."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 def _validate_pinch(t) -> float:
     t = _require_positive("pinch length", t)
     if t < _MIN_PINCH:
@@ -202,10 +212,18 @@ def _geodesic_floor(systole: float, t: float) -> float:
 def validity_check(level, pinch_length, radius) -> bool:
     """True iff every closed geodesic of length <= radius is provably a power
     of a pinched geodesic, so the ladder below is the complete short
-    spectrum. False for t >= 1/2, where the distortion bound does not apply."""
+    spectrum. False for t >= 1/2, where the distortion bound does not apply.
+    The level, the pinch length and the radius are checked whatever t is: a
+    level that is not an integer >= 3 raises DomainError also for t >= 1/2."""
     r = _require_positive("radius", radius)
     t = _validate_pinch(pinch_length)
-    return t < 0.5 and other_geodesic_floor(level, t) > r
+    n = _as_level(level)
+    return _valid(length_from_trace(n * n - 2), t, r)
+
+
+def _valid(systole: float, t: float, r: float) -> bool:
+    """validity_check from the level's systole and a valid t and r."""
+    return t < 0.5 and _geodesic_floor(systole, t) > r
 
 
 def _require_valid(level, pinch_length, radius, why: str) -> float:
@@ -370,7 +388,7 @@ def _ladder_sums(ts: list[float], counts: list[int], head: int = _HEAD, values=N
         if count > head:
             tail = (lo, hi, _weight_derivatives(t, lo), _weight_derivatives(t, hi),
                     _log_tanh(0.25 * lo), _log_tanh(0.25 * hi))
-        value = math.fsum(view[a:b])
+        value = _fsum(view[a:b])
         if values is None:
             # the terms are positive, so their sum is their size
             sums.append(_assemble(t, value, value, float(np.dot(w, rungs)), underflow, tail))
@@ -627,17 +645,24 @@ def _trend(values: list[float]) -> str:
     return "bounded away from zero"
 
 
-def _schedule_rows(schedule: Schedule, radius: float, j_max: int) -> list[tuple]:
+def _schedule_rows(schedule, radius: float, j_max) -> list[tuple]:
     """(j, level, t, surface, count) for the first j_max rows of a schedule:
     the compacted surface, and the number of rungs up to ``radius`` when the
-    ladder there is the complete short spectrum, else None. The Schedule has
-    validated every level and pinch length, so a row reads its surface data
-    and its validity floor once."""
+    ladder there is the complete short spectrum, else None. Both schedule
+    passes read their arguments here: ``schedule`` must be a Schedule and
+    j_max an integer >= 1, else DomainError. The Schedule has validated every
+    level and pinch length, so a row reads its surface data and its validity
+    floor once."""
+    if not isinstance(schedule, Schedule):
+        raise DomainError(f"schedule must be a Schedule, got {schedule!r}")
+    j_max = _as_int("j_max", j_max)
+    if j_max < 1:
+        raise DomainError(f"j_max must be >= 1, got {j_max}")
     rows = []
     for j, n, t in zip(range(1, j_max + 1), schedule.levels, schedule.pinch_lengths):
         sd = surface_data(n)
-        valid = t < 0.5 and _geodesic_floor(sd.systole, t) > radius
-        rows.append((j, n, t, _compacted(sd, t), _ladder_count(t, radius) if valid else None))
+        count = _ladder_count(t, radius) if _valid(sd.systole, t, radius) else None
+        rows.append((j, n, t, _compacted(sd, t), count))
     return rows
 
 
@@ -651,41 +676,25 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
     and each row keeps the bits of a ``plancherel_sum`` call of its own.
     """
     r = _require_positive("radius", radius)
-    j_cap = _as_int("j_max", j_max)
-    if j_cap < 1:
-        raise DomainError(f"j_max must be >= 1, got {j_cap}")
-    entries = _schedule_rows(schedule, r, j_cap)
+    entries = _schedule_rows(schedule, r, j_max)
     ts = [t for _, _, t, _, count in entries if count is not None]
     counts = [count for *_, count in entries if count is not None]
     sums = iter([s for block in _blocks([c if c < _HEAD else _HEAD for c in counts])
                  for s in _ladder_sums(ts[block], counts[block])])
     rows = []
-    nan = math.nan
     for j, n, t, surface, count in entries:
-        if count is None:
-            rows.append(
-                ScheduleRow(
-                    j=j, level=n, pinch=t, b_pairs=surface.pinched_count, genus=surface.genus,
-                    volume=surface.volume, bs_ratio=nan, pl_sum=nan,
-                    pl_sum_radius=nan, pl_norm=nan, lower=nan, upper=nan,
-                    valid=False,
-                )
-            )
-            continue
         pairs, volume = surface.pinched_count, surface.volume
-        pl_sum, pl_sum_radius = _criterion(pairs, *next(sums))
-        lower = upper = nan
-        if r >= 1.0 and t < 1.0:
-            lo, up = _sandwich(pairs, t, r)
-            lower, upper = lo / volume, up / volume
-        rows.append(
-            ScheduleRow(
-                j=j, level=n, pinch=t, b_pairs=pairs, genus=surface.genus,
-                volume=volume, bs_ratio=_bs_ratio(n, t, r), pl_sum=pl_sum,
-                pl_sum_radius=pl_sum_radius, pl_norm=pl_sum / volume,
-                lower=lower, upper=upper, valid=True,
-            )
-        )
+        bs = pl_sum = pl_sum_radius = lower = upper = math.nan
+        if count is not None:
+            bs = _bs_ratio(n, t, r)
+            pl_sum, pl_sum_radius = _criterion(pairs, *next(sums))
+            if r >= 1.0 and t < 1.0:
+                lo, up = _sandwich(pairs, t, r)
+                lower, upper = lo / volume, up / volume
+        rows.append(ScheduleRow(
+            j=j, level=n, pinch=t, b_pairs=pairs, genus=surface.genus, volume=volume,
+            bs_ratio=bs, pl_sum=pl_sum, pl_sum_radius=pl_sum_radius, pl_norm=pl_sum / volume,
+            lower=lower, upper=upper, valid=count is not None))
     valid_rows = [row for row in rows if row.valid]
     return ScheduleReport(
         schedule_name=schedule.name,

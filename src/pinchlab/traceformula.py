@@ -20,15 +20,17 @@ import numpy as np
 from .certified import CertifiedValue
 from .convergence import (
     _EPS,
+    _TINY,
     PinchLadder,
     _blocks,
+    _fsum,
     _head_rungs,
     _ladder_count,
     _ladder_sums,
     _schedule_rows,
     _tail_span,
 )
-from .errors import DomainError, _as_int, _as_real, _read_real, _require_positive
+from .errors import DomainError, _as_real, _read_real, _require_positive
 from .hyperbolic import _acosh1p, _sinh_half
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
@@ -42,6 +44,7 @@ _BABY = 16  # baby steps T_0 .. T_15 of the kernel evaluator, in y = 2x^2 - 1
 _GIANT = _TERMS // _BABY  # its giant steps T_0 .. T_7 in z = T_16(y)
 _CHUNK = 2048  # points per matrix product of the kernel evaluator
 _PAD = 64  # its column counts are padded to a multiple of this
+_TAIL_FLOOR = 4096  # _TINY charged for the subnormal rounding of a tail (see _block_sides)
 
 # The positive half of the 2 * _TERMS Chebyshev points of the first kind, and
 # the matrix taking g there to the even coefficients (a cosine transform; the
@@ -58,6 +61,7 @@ _SIGNS = (-1.0) ** np.arange(_TERMS)  # T_2j(0)
 # = 2 sum_(i <= j) (-1)^(j - i)/(2i - 1)
 _LOG_MOMENTS = 4.0 * np.arange(_TERMS) * _SIGNS * np.append(
     0.0, np.cumsum(_SIGNS[1:] / (2.0 * np.arange(1, _TERMS) - 1.0)))
+_LOG_MOMENT_SUM = float(np.sum(np.abs(_LOG_MOMENTS)))
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +211,9 @@ class TransformProfile:
     ``kernel_error`` is an estimate, not a bound, of its distance to the
     exact kernel: twice the sum of the last 8 coefficients (the trailing
     plateau, after Aurentz and Trefethen, "Chopping a Chebyshev series", ACM
-    TOMS 2017) plus a few ulp of the coefficient sum for roundoff. It reads
+    TOMS 2017) plus a few ulp of the coefficient sum for roundoff, and an
+    absolute charge for rounding in the subnormal range, which vanishes in
+    rounding at normal amplitudes. It reads
     only the coefficients, so it does not see errors in the sampled values
     of g that the coefficients interpolate. The columns of ``ladder_series``
     are g, g', ..., g^(6) (derivatives in u) as full Chebyshev series in
@@ -252,7 +258,19 @@ class TransformProfile:
     @cached_property
     def kernel_error(self) -> float:
         c = self.coefficients
-        return 2.0 * float(np.sum(np.abs(c[-_CHOP:]))) + 8.0 * _EPS * float(np.sum(np.abs(c)))
+        # the last two terms charge rounding in the subnormal range: each
+        # coefficient's floor, and up to 512 _TINY in the evaluator's steps
+        return (2.0 * float(np.sum(np.abs(c[-_CHOP:]))) + 8.0 * _EPS * float(np.sum(np.abs(c)))
+                + _TERMS * self._floor + 512.0 * _TINY)
+
+    @cached_property
+    def _floor(self) -> float:
+        """A bound on what rounding in the subnormal range moves each
+        coefficient, where a product errs by up to _TINY/2 whatever its size.
+        g at a node sums 128 such products times 2 s_max <= 2 sqrt(S), and a
+        coefficient sums 128 products of the g values with rows of summed
+        magnitude below 2, so it errs by at most (257 sqrt(S) + 65) _TINY."""
+        return (514.0 * math.sinh(0.5 * self.g_support) + 65.0) * _TINY  # sqrt(S) = 2 sinh(L/2)
 
     @cached_property
     def ladder_series(self) -> np.ndarray:
@@ -277,6 +295,18 @@ class TransformProfile:
         return tuple(np.sum(np.abs(self.ladder_series), axis=0).tolist())
 
 
+def _certified(value: float, radius: float, profile: TransformProfile) -> CertifiedValue:
+    """A side of the identity, or DomainError naming the kernel's scale when
+    the sum overflowed on the way. The public calls that reach it let numpy
+    overflow silently, under np.errstate."""
+    if not (math.isfinite(value) and math.isfinite(radius)):
+        scale = float(np.max(np.abs(profile.coefficients)))
+        raise DomainError(f"the sum overflows the float range at a kernel scale of {scale:.6g} "
+                          "(the largest |coefficient|); scale the test function down")
+    return CertifiedValue(value, radius)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def transform_profile(phi: TestFunction) -> TransformProfile:
     """Evaluate g once on 128 Chebyshev points of [0, L] and package its
     series with the rule for h.
@@ -287,8 +317,12 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
     put every node there. The values fix the 128 even coefficients of the
     degree-255 interpolant on the Chebyshev points of [-L, L]. h(r) is the
     cosine integral of that series by a 384-point Gauss-Legendre rule on
-    the support, one route for every r.
+    the support, one route for every r. A kernel past the float range, at
+    its coefficients or at the nodes of that rule, raises DomainError that
+    names phi(0), the amplitude of a bump times 1/e.
     """
+    if not isinstance(phi, TestFunction):
+        raise DomainError(f"phi must be a TestFunction, got {phi!r}")
     S = phi.support_bound
     L = _acosh1p(0.5 * S)
     beta = L * _NODES
@@ -318,6 +352,9 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
 
     profile = TransformProfile(g_support=L, coefficients=coefficients, h_batch=h_batch)
     wg_g = 0.5 * L * wg * profile.g(xg)  # the nodes lie inside (0, L)
+    if not (np.isfinite(coefficients).all() and np.isfinite(wg_g).all()):
+        raise DomainError(f"the kernel of phi overflows the float range at phi(0) = "
+                          f"{phi(0.0)!r}; scale the test function down")
     return profile
 
 
@@ -327,9 +364,10 @@ def _fermi_moment(h_batch: Callable, n: int) -> tuple[float, float]:
     x, w = _gauss_legendre(n)
     r = 0.5 * _R_SPLIT * (x + 1.0)
     terms = _R_SPLIT * w * r * h_batch(r) / (np.exp(2.0 * math.pi * r) + 1.0)
-    return math.fsum(terms.tolist()), float(np.sum(np.abs(terms)))
+    return _fsum(terms.tolist()), float(np.sum(np.abs(terms)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     """Spectral integral (1/2 pi) * int_0^inf h(r) tanh(pi r) r dr.
 
@@ -340,18 +378,22 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     B = int_0^inf 2r h(r)/(e^(2 pi r) + 1) dr by a 128-point rule on
     [0, 14] through ``profile.h_batch``.
 
-    The radius has five parts. Three are estimates: the kernel error as A
+    The radius has six parts. Three are estimates: the kernel error as A
     sees it, twice what the last 8 series terms add to A (A weighs T_2j
     about 6j/L, so it is the part most sensitive to the chopping); the
     change in B from a 64-point rule; and the roundoff, a few ulp per summed
     term. Two are bounds given the kernel error: B moves by at most
     L kernel_error/12 when g does by kernel_error, since |delta h| <=
     2 L kernel_error and int 2r/(e^(2 pi r) + 1) dr = 1/24; and the tail of
-    B past r = 14, from |h| <= 2 int |g| <= 2 L sum |c_j|.
+    B past r = 14, from |h| <= 2 int |g| <= 2 L sum |c_j|. The sixth is the
+    absolute charge for rounding in the subnormal range, where the
+    roundoff's few ulp no longer cover a product: the coefficients' floor
+    weighed by |_LOG_MOMENTS| in A, and what B and the last steps round.
+    A sum past the float range raises DomainError naming the kernel's scale.
     """
     L = profile.g_support
     terms = profile.coefficients * _LOG_MOMENTS
-    a_value = -2.0 / L * math.fsum(terms.tolist())
+    a_value = -2.0 / L * _fsum(terms.tolist())
     a_chop = 4.0 / L * float(np.sum(np.abs(terms[-_CHOP:])))
     a_size = 2.0 / L * float(np.sum(np.abs(terms)))
     b_fine, b_size = _fermi_moment(profile.h_batch, 128)
@@ -361,10 +403,13 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     tail = h_sup * math.exp(-2.0 * math.pi * _R_SPLIT) * (_R_SPLIT / math.pi + 0.5 / math.pi**2)
     b_kernel = L * profile.kernel_error / 12.0
     roundoff = 8.0 * _EPS * (a_size + b_size + h_sup)
+    # rounding in the subnormal range: A weighs the coefficients' floor by
+    # |_LOG_MOMENTS| and rounds 128 products; B and the value round up to 256 _TINY
+    floor = 2.0 / L * (_LOG_MOMENT_SUM * profile._floor + 64.0 * _TINY) + 256.0 * _TINY
     scale = 1.0 / (2.0 * math.pi)
     value = scale * (a_value - b_fine)
-    radius = scale * (a_chop + abs(b_fine - b_coarse) + b_kernel + tail + roundoff)
-    return CertifiedValue(value, radius)
+    radius = scale * (a_chop + abs(b_fine - b_coarse) + b_kernel + tail + roundoff + floor)
+    return _certified(value, radius, profile)
 
 
 def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValue]:
@@ -387,9 +432,15 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
     The rule's terms are formed for the block at once and summed per ladder,
     by fsum and a dot product over the ladder's row. The radius adds
     ``kernel_error`` times the summed weights: the engine's sum at g = 1 over
-    the same rungs, which the same call returns, with its radius. g is
-    elementwise (``_split_series`` pads its matrix products) and the engine
-    sums each ladder on its own, so no ladder's bits depend on its block.
+    the same rungs, which the same call returns, with its radius, and a
+    _TINY for each head product and _TAIL_FLOOR of them for a tail, for
+    rounding in the subnormal range. The tail's count is an estimate: the
+    rule rounds 384 products, and the end corrections about 2000 _TINY, the
+    derivative series amplifying their rounding by up to (2 * 254^2 t/L)^3
+    <= 126^3 before the weights and 1/720 damp it. A sum past the float
+    range raises DomainError naming the kernel's scale. g is elementwise
+    (``_split_series`` pads its matrix products) and the engine sums each
+    ladder on its own, so no ladder's bits depend on its block.
     """
     L = profile.g_support
     ts, counts = [t for t, _, _ in ladders], [n for _, n, _ in ladders]
@@ -423,21 +474,26 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
         sizes = np.abs(g_rule) * csch_rule + 2.0 * abs(g0) / nodes
         for row, (i, (a, b)) in enumerate(zip(tailed, spans)):
             log_part = 2.0 * g0 * math.log(counts[i] / (_GEO_HEAD + 1) if b < L else L / a)
-            rule = math.fsum(parts[_GEO_GAUSS * row : _GEO_GAUSS * (row + 1)])
+            rule = _fsum(parts[_GEO_GAUSS * row : _GEO_GAUSS * (row + 1)])
             kernels[i] = (ends[row], bounds[row],
                           (log_part + rule, abs(log_part) + float(np.dot(w[row], sizes[row]))))
     sums = _ladder_sums(ts, counts, _GEO_HEAD, values[:n_head], kernels, L)
     sides = []
-    for (_, _, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
+    for (_, n, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
         (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (
             kernel_sum, unit_sum)
         kernel_charge = profile.kernel_error * (weight_sum + (weight_remainder + weight_roundoff))
+        # rounding in the subnormal range: a _TINY for each head term, and
+        # _TAIL_FLOOR of them for the tail's rule and end corrections
+        floor = _TINY * (min(n, _GEO_HEAD) + (_TAIL_FLOOR if n > _GEO_HEAD else 0))
         value *= 0.5 * mult
-        sides.append(CertifiedValue(
-            value, 0.5 * mult * (remainder + roundoff + kernel_charge) + _EPS * abs(value)))
+        sides.append(_certified(
+            value, 0.5 * mult * (remainder + roundoff + kernel_charge + floor) + _EPS * abs(value),
+            profile))
     return sides
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     """Length-spectrum side: sum of multiplicity * primitive_length /
     (2 sinh(length/2)) * g(length), with g the kernel of ``profile``.
@@ -446,10 +502,12 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     with g as the weight: the first 1024 rungs term by term, the rest by
     Euler-Maclaurin on the kernel series, with the tail integral taken as
     2 g(0) log(b/a) plus a Gauss rule. A list of classes is summed term by
-    term, at 8 ulp per term. Either radius charges ``kernel_error`` times
-    the summed weights. The Euler-Maclaurin remainder is a proven bound for
-    the series kernel; the kernel error and the roundoff (a few ulp per
-    computed term, plus the rounding of its argument) are estimates.
+    term, at 8 ulp per term and the smallest float per term for rounding in
+    the subnormal range. Either radius charges ``kernel_error`` times the
+    summed weights. The Euler-Maclaurin remainder is a proven bound for the
+    series kernel; the kernel error and the roundoff (a few ulp per
+    computed term, plus the rounding of its argument) are estimates. A sum
+    past the float range raises DomainError naming the kernel's scale.
     """
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
@@ -463,9 +521,11 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     weights = np.array([cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
                         for cls in classes])
     terms = weights * profile.g(np.array([cls.length for cls in classes], dtype=float))
-    return CertifiedValue(math.fsum(memoryview(terms)),
-                          8.0 * _EPS * math.fsum(memoryview(np.abs(terms)))
-                          + profile.kernel_error * math.fsum(memoryview(weights)))
+    # a _TINY per term for its rounding in the subnormal range
+    return _certified(_fsum(memoryview(terms)),
+                      8.0 * _EPS * _fsum(memoryview(np.abs(terms)))
+                      + profile.kernel_error * math.fsum(memoryview(weights))
+                      + len(classes) * _TINY, profile)
 
 
 @dataclass(frozen=True)
@@ -489,6 +549,7 @@ class VanishingRow:
         object.__setattr__(self, "radius", radius)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
     """Normalized geometric side along a schedule, at radius = the g-support.
 
@@ -496,9 +557,6 @@ def vanishing_series(schedule, phi: TestFunction, j_max) -> list[VanishingRow]:
     Sub-exponential pinch rules drive the series to zero; exponential ones
     hold it away from zero.
     """
-    j_max = _as_int("j_max", j_max)
-    if j_max < 1:
-        raise DomainError(f"j_max must be >= 1, got {j_max}")
     profile = transform_profile(phi)
     entries = _schedule_rows(schedule, profile.g_support, j_max)
     ladders = [(t, count, surface.pinched_count)

@@ -1,10 +1,11 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from pinchlab import surface_data
+from pinchlab import __version__, surface_data
 from pinchlab.cli import main
 
 
@@ -287,3 +288,35 @@ def test_json_deterministic_up_to_wall_clock(capsys, tmp_path):
     doc = scrub_wall_clock(first)
     assert doc["verdicts"]["bs"] == "vanishing"
     assert all(isinstance(r["pl_norm"], str) for r in doc["rows"])
+
+
+EXPONENTIAL = {
+    "name": "exp",
+    "levels": {"kind": "range", "start": 3, "stop": 20},
+    "pinch": {"rule": "exponential"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--n-min", "3", "--n-max", "12"],
+    ["systole", "--level", "5", "--entry-bound", "100"],
+    ["schedule", "--config", "{config}", "--radius", "1", "--j-max", "20"],
+    ["trace-check", "--supports", "0.5,1e41", "--tol", "1e-9"],
+], ids=["survey", "systole", "schedule", "trace-check"])
+def test_csv_and_json_name_the_same_columns_and_verdicts(capsys, tmp_path, argv):
+    argv = [a.format(config=write_config(tmp_path, EXPONENTIAL)) for a in argv]
+    _, csv_text, _ = run(capsys, *argv)
+    _, json_text, _ = run(capsys, *argv, "--format", "json")
+    header, _, footer = parse_csv(csv_text)
+    doc = json.loads(json_text)
+    assert header == list(doc["rows"][0])
+    assert footer == [f"# {k}: {v}" for k, v in doc.get("verdicts", {}).items()]
+
+
+def test_package_version_matches_pyproject(capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == __version__
+    _, out, _ = run(capsys, "survey", "--n-min", "3", "--n-max", "3", "--format", "json")
+    assert json.loads(out)["meta"]["version"] == version

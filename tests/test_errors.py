@@ -8,7 +8,9 @@ from pinchlab import (
     CertifiedValue,
     DomainError,
     GeodesicClass,
+    Schedule,
     bump,
+    classify_schedule,
     distortion_bound,
     harmonic_sum,
     injrad_from_collar,
@@ -17,6 +19,8 @@ from pinchlab import (
     surface_data,
     thin_part_upper_bound,
     transform_profile,
+    validity_check,
+    vanishing_series,
 )
 
 
@@ -92,3 +96,27 @@ def test_largest_multiplicity_and_counts_past_int64_stay_legal():
     ladder = pinch_ladder(1e-300, 1.0, top)
     assert ladder.count > 2**63 and ladder.multiplicity == top
     assert GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=top).multiplicity == top
+
+
+RECIPROCAL = Schedule.from_rule("r", range(3, 8), "reciprocal")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validity_check("x", 0.7, 1.0),
+    lambda: validity_check(2, 0.6, 1.0),
+    lambda: validity_check(2, 0.1, 1.0),
+    lambda: classify_schedule([3, 4], 1.0, 2),
+    lambda: classify_schedule(RECIPROCAL, 1.0, 0),
+    lambda: classify_schedule(RECIPROCAL, 1.0, 1.5),
+    lambda: vanishing_series("x", bump(1.0), 2),
+    lambda: vanishing_series(RECIPROCAL, bump(1.0), 0),
+    lambda: vanishing_series(RECIPROCAL, 1.0, 2),
+    lambda: transform_profile(lambda u: 0.0),
+], ids=["validity_level_text_wide_pinch", "validity_level_2_wide_pinch",
+        "validity_level_2", "classify_list", "classify_j_max_0", "classify_j_max_real",
+        "vanishing_text", "vanishing_j_max_0", "vanishing_real_phi", "profile_function"])
+def test_schedule_pass_arguments_raise_domain_error(call):
+    # the level is read whatever t is, and both schedule passes read their
+    # schedule and j_max, and transform_profile its test function, up front
+    with pytest.raises(DomainError):
+        call()

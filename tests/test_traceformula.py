@@ -193,6 +193,43 @@ def test_g_scales_with_amplitude():
                                                                               rel=1e-14)
 
 
+AMPLITUDES = [1e-323, 1e-321, 1e-318, 1e-315, 1e-310, 1e-300, 1.0, 1e290, 1e299, 1e306,
+              1e307, 1e308]
+
+
+@pytest.mark.parametrize("S", [0.25, 1.0, 8.0])
+def test_amplitude_extremes_enclose_or_raise_domain_error(S):
+    # subnormal amplitudes round each product to a multiple of the smallest
+    # float, and huge ones overflow: each side must enclose its reference,
+    # a/e or a times the side at amplitude 1, or raise DomainError naming
+    # the overflow, which no amplitude up to 1e290 may do
+    base = transform_profile(bump(S))
+    L = base.g_support
+    spectra = [pinch_ladder(1e-3, L, 3), pinch_ladder(1e-8, L, 3), pinch_ladder(0.3 * L, L, 3),
+               [GeodesicClass(k * L / 50, L / 50, 3) for k in range(1, 50)]]
+    refs = [geometric_side(spectrum, base) for spectrum in spectra]
+    misses, refusals = [], []
+    for a in AMPLITUDES:
+        sides = [(plancherel_integral, a / math.e, 0.0)]
+        sides += [(lambda p, s=spectrum: geometric_side(s, p), a * float(ref), a * ref.radius)
+                  for spectrum, ref in zip(spectra, refs)]
+        for i, (side, ref, ref_radius) in enumerate(sides):
+            try:
+                value = side(transform_profile(bump(S, a)))
+            except DomainError as exc:
+                refusals.append((a, i, str(exc)))
+                continue
+            if not abs(float(value) - ref) <= value.radius + ref_radius:
+                misses.append((a, i, float(value), value.radius, ref))
+    assert misses == []
+    assert all(a > 1e290 and "overflows the float range" in msg for a, _, msg in refusals)
+
+
+def test_kernel_past_the_float_range_names_phi0():
+    with pytest.raises(DomainError, match=r"overflows the float range at phi\(0\) = 3\.67"):
+        transform_profile(bump(100.0, 1e308))
+
+
 def test_g_nonincreasing():
     profile = transform_profile(bump(2.0))
     vals = profile.g(np.linspace(0.0, math.acosh(2.0), 301))
