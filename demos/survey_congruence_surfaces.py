@@ -1,9 +1,9 @@
 """Survey the principal congruence covers and their pinched compactifications.
 
 Walks the torsion-free levels, prints the exact invariants (index, genus,
-cusp count, systole), and checks the systole against a pruned matrix search
-in a small entry box. Every number here is exact integer arithmetic except
-the two lengths.
+cusp count, systole), and checks the systole trace against its witness
+matrix in a small entry box. Every number here is exact integer arithmetic
+except the two lengths.
 """
 
 import math
@@ -34,14 +34,14 @@ for n in (3, 5, 7, 11):
 
 print()
 print("Every level-N trace is 2 mod N^2, so the minimal |trace| over a bounded")
-print("entry box should hit N^2 - 2, searched over the one trace 2 - N^2:")
+print("entry box is N^2 - 2, attained by the witness of the one trace 2 - N^2:")
 for n in (3, 4, 5):
     bound = 10 * n * n
-    visits = search_size_estimate(n, bound)
+    count = search_size_estimate(n, bound)
     found = min_hyperbolic_trace(n, bound)
     w = witness_matrix(n)
     ok = is_in_gamma(w, n) and found == n * n - 2
-    print(f"  N={n}: at most {visits} diagonal entries a in |entries| <= {bound}, "
+    print(f"  N={n}: {count} diagonal entries a of that trace in |entries| <= {bound}, "
           f"min |trace| = {found}, witness ({w.a}, {w.b}; {w.c}, {w.d}) "
           f"{'confirmed' if ok else 'MISMATCH'}")
 

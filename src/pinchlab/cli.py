@@ -1,4 +1,4 @@
-"""Command-line front door: survey tables, systole falsification, schedule
+"""Command-line front door: survey tables, the systole check, schedule
 classification, and the spectral-identity self-check, emitted as
 deterministic CSV or JSON.
 
@@ -148,7 +148,7 @@ def _cmd_systole(params: dict):
         "level": level,
         "entry_bound": bound,
         "candidates": candidates,
-        "min_abs_trace": -1 if found is None else found,
+        "min_abs_trace": found,
         "expected_trace": expected,
         "witness_a": w.a,
         "witness_b": w.b,
@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
 
     p = sub.add_parser("systole", parents=[common],
-                       help="exhaustive minimal-trace check against N^2 - 2")
+                       help="minimal trace N^2 - 2 and its witness in an entry box")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--entry-bound", type=int, required=True)
 

@@ -7,8 +7,9 @@ and the area.
 Every level-N matrix has trace tr = 2 (mod N^2): with a = 1 + Nx and
 d = 1 + Ny, ad - 1 = N(x + y) + N^2 xy, and N^2 divides ad - 1 = bc exactly
 when N divides x + y, that is when N^2 divides tr - 2. So among
-3 <= |tr| <= N^2 - 2 only tr = 2 - N^2 can occur, and the systole falsifier
-searches that one trace exhaustively within an entry-bounded box.
+3 <= |tr| <= N^2 - 2 only tr = 2 - N^2 can occur. The witness
+(1 - N^2, N; -N, 1) attains it, so the minimal |trace| > 2 over any box with
+entries up to B >= N^2 is N^2 - 2, and the systole is 2 arccosh((N^2 - 2)/2).
 """
 
 from __future__ import annotations
@@ -142,47 +143,23 @@ def _require_box(level, entry_bound) -> tuple[int, int]:
     return n, bound
 
 
-def _diagonal_entries(n: int, bound: int):
-    """Every a = 1 + jN with a and d = 2 - N^2 - a in [-B, B], so
-    -K <= j <= K - N with K = (B + 1) // N, by increasing |j| from a = 1."""
-    reach = (bound + 1) // n
-    for j in range(reach + 1):
-        if j <= reach - n:
-            yield 1 + j * n
-        if j:
-            yield 1 - j * n
-
-
 def search_size_estimate(level, entry_bound) -> int:
-    """Number of diagonal entries a the minimal-trace search visits at most:
-    the 2K - N + 1 values a = 1 (mod N) of the one trace 2 - N^2 with a and d
-    in the box, K = (B + 1) // N. Exact integer arithmetic, any B."""
+    """Number of diagonal entries a of the one trace tr = 2 - N^2 that can
+    lie in the box: the 2K - N + 1 values a = 1 (mod N) with |a| <= B and
+    |tr - a| <= B, K = (B + 1) // N. Nothing walks them; the count sizes the
+    box for reports. Exact integer arithmetic, any B."""
     n, bound = _require_box(level, entry_bound)
     return 2 * ((bound + 1) // n) - n + 1
 
 
-def min_hyperbolic_trace(level, entry_bound) -> int | None:
+def min_hyperbolic_trace(level, entry_bound) -> int:
     """Minimal |trace| > 2 over level-N matrices with entries bounded by
-    ``entry_bound``, by an exhaustive search of the one trace that can reach it.
+    ``entry_bound``: N^2 - 2 for every box with entry_bound >= N^2.
 
     Every level-N trace is 2 (mod N^2), since with a = 1 + Nx and d = 1 + Ny,
     ad - 1 = N(x + y) + N^2 xy is divisible by N^2 exactly when N | x + y.
-    Among 3 <= |tr| <= N^2 - 2 only tr = 2 - N^2 meets this, so only that
-    trace is searched. For each a = 1 (mod N) with a and d = tr - a in the
-    box, visited from a = 1 outward in both directions, bc = ad - 1 with
-    b = Nx and c = Ny asks for xy = m = (ad - 1)/N^2; the pair fits the box
-    iff |m| has a divisor x with ceil(|m|/K) <= x <= min(K, isqrt|m|),
-    K = floor(B/N) (x <= |y| up to swapping b and c, whose signs are free).
-    The first hit gives the minimum; a = 1 hits at once, as (1, N; -N, 1 - N^2).
-    Returns None only if no a hits, which cannot happen when the
-    precondition entry_bound >= N^2 holds, since the witness lies in the box.
+    So among 3 <= |tr| <= N^2 - 2 only tr = 2 - N^2 can occur, and the
+    witness (1 - N^2, N; -N, 1) attains it with every entry inside the box.
     """
-    n, bound = _require_box(level, entry_bound)
-    k = bound // n
-    nn = n * n
-    tr = 2 - nn
-    for a in _diagonal_entries(n, bound):
-        m = abs(a * (tr - a) - 1) // nn  # exact by the congruence; m > 0 as |tr| > 2
-        if any(m % x == 0 for x in range(-(-m // k), min(k, math.isqrt(m)) + 1)):
-            return abs(tr)
-    return None
+    n, _ = _require_box(level, entry_bound)
+    return abs(witness_matrix(n).trace)
