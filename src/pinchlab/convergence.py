@@ -46,6 +46,17 @@ def _fsum(terms) -> float:
         return math.nan
 
 
+def _class_fsum(terms) -> float:
+    """_fsum over a list of classes, or DomainError when the sum leaves the
+    float range: each term is at most twice its class's multiplicity, so
+    only multiplicities near that range take it there."""
+    total = _fsum(terms)
+    if not math.isfinite(total):
+        raise DomainError("the sum over the classes leaves the float range; "
+                          "their multiplicities are too large")
+    return total
+
+
 def _validate_pinch(t) -> float:
     t = _require_positive("pinch length", t)
     if t < _MIN_PINCH:
@@ -472,7 +483,8 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
     part is an estimate: it charges each computed term a few ulp plus the
     rounding of its argument, which assumes libm exp, expm1, sinh, tanh and
     log are that accurate. Explicit class lists are summed term by term, at
-    8 ulp per term.
+    8 ulp per term; a sum past the float range raises DomainError naming
+    the multiplicities.
     """
     r = _require_positive("radius", radius)
     grace = r * (1.0 + 1e-12)
@@ -487,7 +499,7 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
         if cls.length > grace:
             raise DomainError(f"class length {cls.length!r} exceeds radius {r!r}")
         terms.append(cls.multiplicity * cls.primitive_length / _sinh_half(cls.length))
-    return CertifiedValue(math.fsum(terms), 8.0 * _EPS * math.fsum(abs(x) for x in terms))
+    return CertifiedValue(_class_fsum(terms), 8.0 * _EPS * _class_fsum(abs(x) for x in terms))
 
 
 def bs_ratio(level, pinch_length, radius) -> float:
@@ -543,7 +555,10 @@ def sandwich_bounds(level, pinch_length, radius) -> tuple[float, float]:
 def _sandwich(pairs: int, t: float, r: float) -> tuple[float, float]:
     """sandwich_bounds of a ladder of ``pairs`` pinched pairs, for t < 1 <= r."""
     lower = r / _sinh_half(r) * pairs * (-math.log(t))
-    upper = 2.0 * pairs * (math.log(r / t) + 1.0)
+    ratio = r / t
+    # log r - log t only where r/t overflows, so that the schedule rows keep their bits
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(r) - math.log(t)
+    upper = 2.0 * pairs * (log_ratio + 1.0)
     return lower, upper
 
 

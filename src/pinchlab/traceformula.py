@@ -23,6 +23,7 @@ from .convergence import (
     _TINY,
     PinchLadder,
     _blocks,
+    _class_fsum,
     _fsum,
     _head_rungs,
     _ladder_count,
@@ -204,7 +205,8 @@ class TransformProfile:
 
     Only ``g_support``, ``coefficients`` and ``h_batch`` are stored. The
     rest is derived from them and computed on first use: the methods ``g``
-    and ``h`` and the cached ``kernel_error`` and ``ladder_series``.
+    and ``h``, the cached ``kernel_error``, and private caches for ``g``
+    and the geometric side.
 
     g is the even Chebyshev series sum_j coefficients[j] T_2j(u/L) on
     [-L, L], L = ``g_support``, and zero at and beyond L; NaN gives NaN.
@@ -215,9 +217,10 @@ class TransformProfile:
     absolute charge for rounding in the subnormal range, which vanishes in
     rounding at normal amplitudes. It reads
     only the coefficients, so it does not see errors in the sampled values
-    of g that the coefficients interpolate. The columns of ``ladder_series``
-    are g, g', ..., g^(6) (derivatives in u) as full Chebyshev series in
-    T_k(u/L), k = 0..254, for the geometric side.
+    of g that the coefficients interpolate. Past the float range it raises
+    DomainError naming the kernel's scale, as ``h_batch`` does. The columns
+    of ``_ladder_series`` are g, g', ..., g^(6) (derivatives in u) as full
+    Chebyshev series in T_k(u/L), k = 0..254, for the geometric side.
     ``h_batch`` is the cosine transform of g over float arrays by a fixed
     rule, accurate to about 1e-12 absolute while |r| * g_support stays at or
     below 1300; past that the rule aliases and it raises DomainError. ``h``
@@ -260,8 +263,12 @@ class TransformProfile:
         c = self.coefficients
         # the last two terms charge rounding in the subnormal range: each
         # coefficient's floor, and up to 512 _TINY in the evaluator's steps
-        return (2.0 * float(np.sum(np.abs(c[-_CHOP:]))) + 8.0 * _EPS * float(np.sum(np.abs(c)))
-                + _TERMS * self._floor + 512.0 * _TINY)
+        with np.errstate(over="ignore"):
+            error = (2.0 * float(np.sum(np.abs(c[-_CHOP:])))
+                     + 8.0 * _EPS * float(np.sum(np.abs(c))) + _TERMS * self._floor + 512.0 * _TINY)
+        if not math.isfinite(error):
+            raise _overflow(c)
+        return error
 
     @cached_property
     def _floor(self) -> float:
@@ -273,7 +280,7 @@ class TransformProfile:
         return (514.0 * math.sinh(0.5 * self.g_support) + 65.0) * _TINY  # sqrt(S) = 2 sinh(L/2)
 
     @cached_property
-    def ladder_series(self) -> np.ndarray:
+    def _ladder_series(self) -> np.ndarray:
         columns = [np.zeros(_DEGREE)]
         columns[0][0::2] = self.coefficients
         for _ in range(6):
@@ -292,7 +299,14 @@ class TransformProfile:
     @cached_property
     def _series_sups(self) -> tuple[float, ...]:
         """Bounds on |g|, |g'|, ..., |g^(6)|: the coefficient sums of their series."""
-        return tuple(np.sum(np.abs(self.ladder_series), axis=0).tolist())
+        return tuple(np.sum(np.abs(self._ladder_series), axis=0).tolist())
+
+
+def _overflow(coefficients: np.ndarray) -> DomainError:
+    """The DomainError for a sum past the float range, naming the kernel's scale."""
+    scale = float(np.max(np.abs(coefficients)))
+    return DomainError(f"the sum overflows the float range at a kernel scale of {scale:.6g} "
+                       "(the largest |coefficient|); scale the test function down")
 
 
 def _certified(value: float, radius: float, profile: TransformProfile) -> CertifiedValue:
@@ -300,9 +314,7 @@ def _certified(value: float, radius: float, profile: TransformProfile) -> Certif
     the sum overflowed on the way. The public calls that reach it let numpy
     overflow silently, under np.errstate."""
     if not (math.isfinite(value) and math.isfinite(radius)):
-        scale = float(np.max(np.abs(profile.coefficients)))
-        raise DomainError(f"the sum overflows the float range at a kernel scale of {scale:.6g} "
-                          "(the largest |coefficient|); scale the test function down")
+        raise _overflow(profile.coefficients)
     return CertifiedValue(value, radius)
 
 
@@ -345,9 +357,12 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
             raise DomainError(f"h needs |r| * g_support <= {_H_REACH:g}, got |r| = "
                               f"{float(flat.max())!r} with g_support = {L!r}")
         out = np.empty(flat.size)
-        # blocked to bound the temporaries
-        for blk in range(0, flat.size, 256):
-            out[blk : blk + 256] = 2.0 * (np.cos(np.outer(flat[blk : blk + 256], xg)) @ wg_g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # blocked to bound the temporaries
+            for blk in range(0, flat.size, 256):
+                out[blk : blk + 256] = 2.0 * (np.cos(np.outer(flat[blk : blk + 256], xg)) @ wg_g)
+        if not np.isfinite(out).all():
+            raise _overflow(coefficients)
         return out.reshape(r.shape)
 
     profile = TransformProfile(g_support=L, coefficients=coefficients, h_batch=h_batch)
@@ -464,7 +479,7 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
         # the engine takes t^i g^(i), the derivatives in the rung number
         scales = np.array([[ts[i] ** p for p in range(7)] for i in tailed])
         series = (np.cos(np.outer(np.arccos(np.array(spans).ravel() / L), _ORDERS))
-                  @ profile.ladder_series)
+                  @ profile._ladder_series)
         ends = (series.reshape(-1, 2, 7)[:, :, :4] * scales[:, None, :4]).tolist()
         bounds = (scales * np.array(profile._series_sups)).tolist()
         w = (0.5 * (hi - lo))[:, None] * wq
@@ -507,7 +522,8 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     summed weights. The Euler-Maclaurin remainder is a proven bound for the
     series kernel; the kernel error and the roundoff (a few ulp per
     computed term, plus the rounding of its argument) are estimates. A sum
-    past the float range raises DomainError naming the kernel's scale.
+    past the float range raises DomainError: one over a class list's
+    weights names the multiplicities, any other the kernel's scale.
     """
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
@@ -520,11 +536,12 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
         return CertifiedValue(0.0, 0.0)
     weights = np.array([cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
                         for cls in classes])
+    weight_sum = _class_fsum(memoryview(weights))
     terms = weights * profile.g(np.array([cls.length for cls in classes], dtype=float))
     # a _TINY per term for its rounding in the subnormal range
     return _certified(_fsum(memoryview(terms)),
                       8.0 * _EPS * _fsum(memoryview(np.abs(terms)))
-                      + profile.kernel_error * math.fsum(memoryview(weights))
+                      + profile.kernel_error * weight_sum
                       + len(classes) * _TINY, profile)
 
 

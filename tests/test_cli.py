@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pinchlab import __version__, surface_data
+from pinchlab import DomainError, __version__, cli, surface_data
 from pinchlab.cli import main
 
 
@@ -268,6 +268,21 @@ def test_output_file_atomic(capsys, tmp_path):
     header, rows, _ = parse_csv(text)
     assert len(rows) == 2
     assert not list(tmp_path.glob(".pinchlab-*"))
+    # a failed rename leaves no temp file behind
+    occupied = tmp_path / "occupied"
+    occupied.mkdir()
+    with pytest.raises(IsADirectoryError):
+        main(["survey", "--n-min", "3", "--n-max", "4", "--out", str(occupied)])
+    assert not list(tmp_path.glob(".pinchlab-*"))
+
+
+def test_library_error_exits_1(capsys, monkeypatch):
+    def refuse(params):
+        raise DomainError("refused")
+
+    monkeypatch.setitem(cli._HANDLERS, "survey", refuse)
+    code, out, err = run(capsys, "survey", "--n-min", "3", "--n-max", "4")
+    assert (code, out, err) == (1, "", "error: refused\n")
 
 
 def test_csv_deterministic(capsys, tmp_path):

@@ -143,6 +143,10 @@ def test_ladder_indexing():
         ladder[5]
     with pytest.raises(IndexError):
         ladder[-6]
+    for bad in (1.5, True):
+        with pytest.raises(TypeError):
+            ladder[bad]
+    assert repr(ladder) == "PinchLadder(pinch_length=0.2, radius=1.0, multiplicity=3, count=5)"
 
 
 def test_ladder_iteration_matches_indexing():
@@ -171,6 +175,11 @@ def test_geodesic_class_rejects_non_multiple():
                               (1e300, 1e-300), (10**400, 1.0)):
         with pytest.raises(DomainError):
             GeodesicClass(length=length, primitive_length=primitive, multiplicity=1)
+    # and a class, or a ladder, of no geodesics
+    with pytest.raises(DomainError):
+        GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=0)
+    with pytest.raises(DomainError):
+        pinch_ladder(0.1, 1.0, 0)
 
 
 # ---------------------------------------------------------------- criterion sums
@@ -186,6 +195,7 @@ def test_plancherel_sum_two_rungs():
 def test_plancherel_sum_empty():
     val = plancherel_sum(pinch_ladder(0.3, 0.2, 4), 0.2)
     assert float(val) == 0.0 and val.radius == 0.0
+    assert repr(val) == "CertifiedValue(0.0, radius=0.0)"
 
 
 def test_plancherel_sum_exact_reference():
@@ -238,6 +248,10 @@ def test_plancherel_sum_accepts_plain_classes():
     val = plancherel_sum(classes, 1.0)
     ref = plancherel_sum(pinch_ladder(0.5, 1.0, 1), 1.0)
     assert float(val) == pytest.approx(float(ref), rel=1e-14)
+    # a class or a ladder reaching past the radius is refused
+    for spectrum in (classes, pinch_ladder(0.5, 1.0, 1)):
+        with pytest.raises(DomainError):
+            plancherel_sum(spectrum, 0.9)
 
 
 @pytest.mark.parametrize("length,primitive,mult", [
@@ -348,6 +362,18 @@ def test_sandwich_brackets_exact_sum():
                 lower, upper = sandwich_bounds(n, t, r)
                 s = exact_ladder_sum(t, pinch_ladder(t, r, pairs).count, pairs)
                 assert lower <= s <= upper
+
+
+@pytest.mark.parametrize("t,r", [(1e-300, 1e300), (1e-300, 1e100), (1e-200, 1e300),
+                                 (1e-20, 1e300), (0.1, 1.0), (1e-300, 1.0)])
+def test_sandwich_against_mpmath(t, r):
+    # r/t overflows at the first four points, where log(r/t) read inf
+    n = 7
+    pairs = surface_data(n).cusps // 2
+    lower, upper = sandwich_bounds(n, t, r)
+    tt, rr = mp.mpf(t), mp.mpf(r)
+    assert upper == pytest.approx(float(2 * pairs * (mp.log(rr / tt) + 1)), rel=1e-15)
+    assert lower == pytest.approx(float(rr / mp.sinh(rr / 2) * pairs * -mp.log(tt)), rel=1e-14)
 
 
 def test_sandwich_domain():

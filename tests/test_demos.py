@@ -1,4 +1,5 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, with warnings
+raised as errors and nothing written to stderr."""
 
 import os
 import subprocess
@@ -15,6 +16,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr

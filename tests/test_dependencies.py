@@ -17,15 +17,16 @@ SUBMODULES = ("certified", "congruence", "convergence", "errors", "hyperbolic", 
 
 
 def _fresh(code: str, result: str):
-    """Run ``code`` in a fresh interpreter, then evaluate ``result`` there
-    and return it through JSON."""
+    """Run ``code`` in a fresh interpreter with warnings raised as errors,
+    then evaluate ``result`` there and return it through JSON, as the last
+    line of stdout. The interpreter may write nothing to stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = f"import json, sys; {code}; print(json.dumps({result}), file=sys.stderr)"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    code = f"import json, sys; {code}; print(json.dumps({result}))"
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stderr.strip().splitlines()[-1])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def _loaded(code: str, top: str) -> list[str]:

@@ -12,9 +12,11 @@ from pinchlab import (
     bump,
     classify_schedule,
     distortion_bound,
+    geometric_side,
     harmonic_sum,
     injrad_from_collar,
     pinch_ladder,
+    plancherel_sum,
     sandwich_bounds,
     surface_data,
     thin_part_upper_bound,
@@ -45,6 +47,7 @@ HUGE = 10**400  # an integer past the float range; float() raises OverflowError
     lambda: distortion_bound(HUGE),
     lambda: bump(1.0, amplitude=HUGE),
     lambda: CertifiedValue(1.0, HUGE),
+    lambda: CertifiedValue(1.0, -1e-300),
     lambda: CertifiedValue(HUGE, 0.0),
     lambda: transform_profile(bump(1.0)).h(HUGE),
     lambda: transform_profile(bump(1.0)).g("abc"),
@@ -68,9 +71,9 @@ HUGE = 10**400  # an integer past the float range; float() raises OverflowError
     lambda: transform_profile(bump(1.0)).g([bytearray(b"2")]),
     lambda: transform_profile(bump(1.0)).g([[0.5, 0.6], [0.7]]),
 ], ids=["sandwich_radius", "sandwich_radius_str", "injrad_offset", "distortion_eps",
-        "bump_amplitude", "certified_radius", "certified_value", "profile_h_huge",
-        "profile_g_str", "bump_support_numeric_str", "sandwich_radius_numeric_str",
-        "sandwich_radius_bytes", "bump_support_bool", "profile_h_numeric_str",
+        "bump_amplitude", "certified_radius", "certified_negative_radius", "certified_value",
+        "profile_h_huge", "profile_g_str", "bump_support_numeric_str",
+        "sandwich_radius_numeric_str", "sandwich_radius_bytes", "bump_support_bool", "profile_h_numeric_str",
         "bump_support_bytearray", "bump_support_memoryview", "bump_support_numpy_bool",
         "certified_value_bytearray", "profile_g_numeric_str", "profile_g_str_list",
         "profile_g_str_array", "profile_g_bytearray", "profile_g_bool",
@@ -95,7 +98,20 @@ def test_largest_multiplicity_and_counts_past_int64_stay_legal():
     top = int(sys.float_info.max)
     ladder = pinch_ladder(1e-300, 1.0, top)
     assert ladder.count > 2**63 and ladder.multiplicity == top
+    with pytest.raises(OverflowError):  # len() is bound to sys.maxsize
+        len(ladder)
     assert GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=top).multiplicity == top
+
+
+@pytest.mark.parametrize("call", [
+    lambda: plancherel_sum([GeodesicClass(1.0, 1.0, 5 * 10**307)] * 2, 2.0),
+    lambda: plancherel_sum([GeodesicClass(2.0, 2.0, 10**308)], 2.0),
+    lambda: geometric_side([GeodesicClass(0.5, 0.5, 10**308)] * 2, transform_profile(bump(1.0))),
+], ids=["plancherel_sum", "plancherel_sum_one_class", "geometric_side"])
+def test_class_sums_past_the_float_range_name_the_multiplicities(call):
+    # two finite terms whose sum overflows in fsum, or one term that is already inf
+    with pytest.raises(DomainError, match="leaves the float range; their multiplicities"):
+        call()
 
 
 RECIPROCAL = Schedule.from_rule("r", range(3, 8), "reciprocal")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -77,7 +78,8 @@ def test_radius_collar_specializes(l):
 
 
 @pytest.mark.parametrize(
-    "l,r", [(1e-9, 0.5), (0.3, 3.0), (5.0, 1.0), (700.0, 2.0), (2.0, 500.0), (900.0, 400.0)]
+    "l,r", [(1e-9, 0.5), (0.3, 3.0), (5.0, 1.0), (700.0, 2.0), (2.0, 500.0), (900.0, 400.0),
+            (1.0, 800.0), (1e-3, 1000.0)]
 )
 def test_radius_collar_reference(l, r):
     ref = float(mp.asinh(mp.sinh(r) / mp.sinh(mp.mpf(l) / 2)))
@@ -90,6 +92,9 @@ def test_cylinder_volume_closed_points():
     assert rel(cylinder_volume(2.0, 1.0), 8.0 * math.pi) <= 1e-14
     for r in (0.5, 1.0, 3.0):
         assert rel(cylinder_volume(1e-12, r), 8.0 * math.pi * math.sinh(r)) <= 1e-9
+    # 4 pi sinh(710) / sinh(1/2) is past the float range
+    assert 4 * mp.pi * mp.sinh(710) / mp.sinh(0.5) > sys.float_info.max
+    assert cylinder_volume(1.0, 710.0) == math.inf
 
 
 def test_cylinder_volume_bound():
@@ -112,6 +117,8 @@ def test_cylinder_volume_against_quadrature():
 def test_thin_part_bound():
     assert thin_part_upper_bound(0, 2.0) == 0.0
     assert rel(thin_part_upper_bound(3, 1.0), 24.0 * math.pi * math.sinh(1.0)) <= 1e-15
+    assert 8 * mp.pi * mp.sinh(710) > sys.float_info.max
+    assert thin_part_upper_bound(1, 710.0) == math.inf
     with pytest.raises(DomainError):
         thin_part_upper_bound(-1, 1.0)
     # the bound dominates any collection of cylinders at the same radius

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -225,6 +226,28 @@ def test_amplitude_extremes_enclose_or_raise_domain_error(S):
     assert all(a > 1e290 and "overflows the float range" in msg for a, _, msg in refusals)
 
 
+@pytest.mark.parametrize("S", [0.25, 1.0, 8.0])
+def test_public_profile_attributes_are_finite_or_raise_domain_error(S):
+    # every public attribute, read or called at u = L/2 and r = 1, with
+    # numpy's overflow warnings raised as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (1e-323, 1.0, 1e308):
+            try:
+                profile = transform_profile(bump(S, a))
+            except DomainError:
+                continue
+            args = {"g": 0.5 * profile.g_support, "h": 1.0, "h_batch": np.array([1.0])}
+            for name in (name for name in dir(profile) if not name.startswith("_")):
+                try:
+                    value = getattr(profile, name)
+                    if callable(value):
+                        value = value(args[name])
+                except DomainError:
+                    continue
+                assert np.isfinite(value).all(), (a, name)
+
+
 def test_kernel_past_the_float_range_names_phi0():
     with pytest.raises(DomainError, match=r"overflows the float range at phi\(0\) = 3\.67"):
         transform_profile(bump(100.0, 1e308))
@@ -325,9 +348,9 @@ def test_split_series_is_elementwise(threads):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SPLIT_ELEMENTWISE], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _SPLIT_ELEMENTWISE], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert proc.stdout.strip() == "elementwise"
 
 
@@ -392,9 +415,9 @@ def test_schedule_rows_do_not_depend_on_their_block(threads):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _BLOCK_INDEPENDENT], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _BLOCK_INDEPENDENT], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert proc.stdout.strip() == "independent"
 
 
