@@ -46,7 +46,6 @@ from .hyperbolic import (
 _LAZY = {
     **dict.fromkeys((
         "CompactedSurface",
-        "GeodesicClass",
         "PinchLadder",
         "Schedule",
         "ScheduleReport",

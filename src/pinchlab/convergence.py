@@ -46,17 +46,6 @@ def _fsum(terms) -> float:
         return math.nan
 
 
-def _class_fsum(terms) -> float:
-    """_fsum over a list of classes, or DomainError when the sum leaves the
-    float range: each term is at most twice its class's multiplicity, so
-    only multiplicities near that range take it there."""
-    total = _fsum(terms)
-    if not math.isfinite(total):
-        raise DomainError("the sum over the classes leaves the float range; "
-                          "their multiplicities are too large")
-    return total
-
-
 def _validate_pinch(t) -> float:
     t = _require_positive("pinch length", t)
     if t < _MIN_PINCH:
@@ -65,15 +54,6 @@ def _validate_pinch(t) -> float:
             "a schedule rule has likely underflowed"
         )
     return t
-
-
-def _validate_multiplicity(m) -> int:
-    m = _as_int("multiplicity", m)
-    if m < 1:
-        raise DomainError(f"multiplicity must be >= 1, got {m}")
-    if m > sys.float_info.max:  # the sums scale by float(m)
-        raise DomainError(f"multiplicity has {m.bit_length()} bits, past the float range")
-    return m
 
 
 @dataclass(frozen=True)
@@ -85,29 +65,6 @@ class CompactedSurface:
     pinched_count: int
     genus: int
     volume: float
-
-
-@dataclass(frozen=True)
-class GeodesicClass:
-    """One length-spectrum entry: total length, primitive length, multiplicity."""
-
-    length: float
-    primitive_length: float
-    multiplicity: int
-
-    def __post_init__(self) -> None:
-        length = _require_positive("length", self.length)
-        primitive = _require_positive("primitive_length", self.primitive_length)
-        _validate_multiplicity(self.multiplicity)
-        ratio = length / primitive
-        if not math.isfinite(ratio):
-            raise DomainError(f"length / primitive_length overflows: {length!r} / {primitive!r}")
-        k = round(ratio)
-        if k < 1 or abs(ratio - k) > 1e-9 * k:
-            raise DomainError(
-                f"length {self.length!r} is not a positive integer multiple of "
-                f"primitive_length {self.primitive_length!r}"
-            )
 
 
 def _ladder_count(t: float, radius: float) -> int:
@@ -124,11 +81,11 @@ def _rung_length(t: float, k: int) -> float:
 
 
 class PinchLadder:
-    """Lazy ladder of geodesic classes with lengths k*t, k = 1..count.
+    """The arithmetic ladder of geodesic lengths k*t, k = 1..count, each of
+    the same multiplicity: the length spectrum that both sums take.
 
-    Indexing and iteration produce genuine GeodesicClass records; ``count``
-    may exceed anything a materialized list (or ``len``) could hold, so the
-    summation routines consume the ladder arithmetically.
+    ``count`` may exceed anything a list could hold, so the sums consume the
+    ladder arithmetically, from its pinch length, count and multiplicity.
     """
 
     __slots__ = ("pinch_length", "radius", "multiplicity", "count")
@@ -136,37 +93,15 @@ class PinchLadder:
     def __init__(self, pinch_length: float, radius: float, multiplicity: int) -> None:
         t = _validate_pinch(pinch_length)
         r = _require_positive("radius", radius)
+        m = _as_int("multiplicity", multiplicity)
+        if m < 1:
+            raise DomainError(f"multiplicity must be >= 1, got {m}")
+        if m > sys.float_info.max:  # the sums scale by float(m)
+            raise DomainError(f"multiplicity has {m.bit_length()} bits, past the float range")
         self.pinch_length = t
         self.radius = r
-        self.multiplicity = _validate_multiplicity(multiplicity)
+        self.multiplicity = m
         self.count = _ladder_count(t, r)
-
-    def __len__(self) -> int:
-        if self.count > sys.maxsize:
-            raise OverflowError(f"ladder has {self.count} rungs; use .count")
-        return self.count
-
-    def __getitem__(self, k: int) -> GeodesicClass:
-        if isinstance(k, bool) or int(k) != k:
-            raise TypeError(f"ladder indices must be integers, got {k!r}")
-        k = int(k)
-        if k < 0:
-            k += self.count
-        if not 0 <= k < self.count:
-            raise IndexError(f"ladder index {k} out of range for {self.count} rungs")
-        return GeodesicClass(
-            length=_rung_length(self.pinch_length, k + 1),
-            primitive_length=self.pinch_length,
-            multiplicity=self.multiplicity,
-        )
-
-    def __iter__(self):
-        for k in range(1, self.count + 1):
-            yield GeodesicClass(
-                length=_rung_length(self.pinch_length, k),
-                primitive_length=self.pinch_length,
-                multiplicity=self.multiplicity,
-            )
 
     def __repr__(self) -> str:
         return (
@@ -471,35 +406,39 @@ def _criterion(mult: int, value: float, remainder: float, roundoff: float) -> tu
     return mult * value, mult * (remainder + roundoff) + _EPS * mult * value
 
 
-def plancherel_sum(spectrum, radius) -> CertifiedValue:
-    """Spectral-criterion sum over the given classes: multiplicity *
-    primitive_length / sinh(length/2), with an error radius.
+def _require_finite_scale(mult: int, unit_sum: float) -> None:
+    """DomainError naming the multiplicity when mult times a ladder's sum at
+    g = 1 leaves the float range."""
+    if not math.isfinite(mult * unit_sum):
+        raise DomainError(f"the sum leaves the float range at a multiplicity of {mult:.6g}; "
+                          "scale the multiplicity down")
 
-    Every ladder goes through the ladder engine that the geometric side
+
+def plancherel_sum(spectrum, radius) -> CertifiedValue:
+    """Spectral-criterion sum over a pinch ladder: multiplicity * t /
+    sinh(k t/2) over its rungs k = 1..count, with an error radius.
+
+    The ladder goes through the ladder engine that the geometric side
     shares, at the same cost whatever its length: the first 128 rungs term
     by term, the rest by Euler-Maclaurin to order 6 with the closed-form
     integral 2 log tanh(k t/4). The radius has two parts. The
     Euler-Maclaurin remainder is a proven bound (DLMF 2.10.2). The roundoff
     part is an estimate: it charges each computed term a few ulp plus the
     rounding of its argument, which assumes libm exp, expm1, sinh, tanh and
-    log are that accurate. Explicit class lists are summed term by term, at
-    8 ulp per term; a sum past the float range raises DomainError naming
-    the multiplicities.
+    log are that accurate. A spectrum that is not a PinchLadder, a ladder
+    reaching past the radius, and a sum past the float range (which only a
+    multiplicity near that range brings) raise DomainError.
     """
+    if not isinstance(spectrum, PinchLadder):
+        raise DomainError(f"spectrum must be a PinchLadder, got {spectrum!r}")
     r = _require_positive("radius", radius)
-    grace = r * (1.0 + 1e-12)
-    if isinstance(spectrum, PinchLadder):
-        t, count, mult = spectrum.pinch_length, spectrum.count, spectrum.multiplicity
-        reach = _rung_length(t, count)
-        if count > 0 and reach > grace + t * 1e-9:
-            raise DomainError(f"ladder reaches {reach!r}, beyond radius {r!r}")
-        return CertifiedValue(*_criterion(mult, *_ladder_sum(t, count)))
-    terms = []
-    for cls in spectrum:
-        if cls.length > grace:
-            raise DomainError(f"class length {cls.length!r} exceeds radius {r!r}")
-        terms.append(cls.multiplicity * cls.primitive_length / _sinh_half(cls.length))
-    return CertifiedValue(_class_fsum(terms), 8.0 * _EPS * _class_fsum(abs(x) for x in terms))
+    t, count, mult = spectrum.pinch_length, spectrum.count, spectrum.multiplicity
+    reach = _rung_length(t, count)
+    if count > 0 and reach > r * (1.0 + 1e-12) + t * 1e-9:
+        raise DomainError(f"ladder reaches {reach!r}, beyond radius {r!r}")
+    value, remainder, roundoff = _ladder_sum(t, count)
+    _require_finite_scale(mult, value)
+    return CertifiedValue(*_criterion(mult, value, remainder, roundoff))
 
 
 def bs_ratio(level, pinch_length, radius) -> float:

@@ -23,16 +23,16 @@ from .convergence import (
     _TINY,
     PinchLadder,
     _blocks,
-    _class_fsum,
     _fsum,
     _head_rungs,
     _ladder_count,
     _ladder_sums,
+    _require_finite_scale,
     _schedule_rows,
     _tail_span,
 )
 from .errors import DomainError, _as_real, _read_real, _require_positive
-from .hyperbolic import _acosh1p, _sinh_half
+from .hyperbolic import _acosh1p
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
 _TERMS = (_DEGREE + 1) // 2  # even coefficients, and interpolation nodes in [0, L]
@@ -453,9 +453,10 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
     rule rounds 384 products, and the end corrections about 2000 _TINY, the
     derivative series amplifying their rounding by up to (2 * 254^2 t/L)^3
     <= 126^3 before the weights and 1/720 damp it. A sum past the float
-    range raises DomainError naming the kernel's scale. g is elementwise
-    (``_split_series`` pads its matrix products) and the engine sums each
-    ladder on its own, so no ladder's bits depend on its block.
+    range raises DomainError: naming the multiplicity where it times the
+    summed weights passes that range, else the kernel's scale. g is
+    elementwise (``_split_series`` pads its matrix products) and the engine
+    sums each ladder on its own, so no ladder's bits depend on its block.
     """
     L = profile.g_support
     ts, counts = [t for t, _, _ in ladders], [n for _, n, _ in ladders]
@@ -497,6 +498,7 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
     for (_, n, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
         (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (
             kernel_sum, unit_sum)
+        _require_finite_scale(mult, weight_sum)
         kernel_charge = profile.kernel_error * (weight_sum + (weight_remainder + weight_roundoff))
         # rounding in the subnormal range: a _TINY for each head term, and
         # _TAIL_FLOOR of them for the tail's rule and end corrections
@@ -510,39 +512,29 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
 
 @np.errstate(over="ignore", invalid="ignore")
 def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
-    """Length-spectrum side: sum of multiplicity * primitive_length /
-    (2 sinh(length/2)) * g(length), with g the kernel of ``profile``.
+    """Length-spectrum side over a pinch ladder: the sum of multiplicity *
+    t / (2 sinh(k t/2)) * g(k t) over its rungs, with g the kernel of
+    ``profile``.
 
-    A pinch ladder goes through the ladder engine of ``plancherel_sum``
-    with g as the weight: the first 1024 rungs term by term, the rest by
+    The ladder goes through the ladder engine of ``plancherel_sum`` with g
+    as the weight: the first 1024 rungs term by term, the rest by
     Euler-Maclaurin on the kernel series, with the tail integral taken as
-    2 g(0) log(b/a) plus a Gauss rule. A list of classes is summed term by
-    term, at 8 ulp per term and the smallest float per term for rounding in
-    the subnormal range. Either radius charges ``kernel_error`` times the
-    summed weights. The Euler-Maclaurin remainder is a proven bound for the
-    series kernel; the kernel error and the roundoff (a few ulp per
-    computed term, plus the rounding of its argument) are estimates. A sum
-    past the float range raises DomainError: one over a class list's
-    weights names the multiplicities, any other the kernel's scale.
+    2 g(0) log(b/a) plus a Gauss rule. The radius charges ``kernel_error``
+    times the summed weights. The Euler-Maclaurin remainder is a proven
+    bound for the series kernel; the kernel error and the roundoff (a few
+    ulp per computed term, plus the rounding of its argument) are
+    estimates. A spectrum that is not a PinchLadder raises DomainError, and
+    so does a sum past the float range: one whose multiplicity times the
+    summed weights passes it names the multiplicity, any other the
+    kernel's scale.
     """
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
-    if isinstance(spectrum, PinchLadder):
-        t = spectrum.pinch_length
-        count = min(spectrum.count, _ladder_count(t, profile.g_support))
-        return _block_sides([(t, count, spectrum.multiplicity)], profile)[0]
-    classes = list(spectrum)
-    if not classes:
-        return CertifiedValue(0.0, 0.0)
-    weights = np.array([cls.multiplicity * cls.primitive_length / (2.0 * _sinh_half(cls.length))
-                        for cls in classes])
-    weight_sum = _class_fsum(memoryview(weights))
-    terms = weights * profile.g(np.array([cls.length for cls in classes], dtype=float))
-    # a _TINY per term for its rounding in the subnormal range
-    return _certified(_fsum(memoryview(terms)),
-                      8.0 * _EPS * _fsum(memoryview(np.abs(terms)))
-                      + profile.kernel_error * weight_sum
-                      + len(classes) * _TINY, profile)
+    if not isinstance(spectrum, PinchLadder):
+        raise DomainError(f"spectrum must be a PinchLadder, got {spectrum!r}")
+    t = spectrum.pinch_length
+    count = min(spectrum.count, _ladder_count(t, profile.g_support))
+    return _block_sides([(t, count, spectrum.multiplicity)], profile)[0]
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,15 @@ import pytest
 
 from pinchlab import (
     DomainError,
-    GeodesicClass,
     PinchLadder,
     Schedule,
     ValidityError,
     bs_ratio,
+    bump,
     classify_schedule,
     compacted_surface,
     crossing_length_bound,
+    geometric_side,
     harmonic_sum,
     other_geodesic_floor,
     pinch_ladder,
@@ -23,9 +24,10 @@ from pinchlab import (
     sandwich_bounds,
     short_spectrum,
     surface_data,
+    transform_profile,
     validity_check,
 )
-from pinchlab.convergence import _EPS, _HEAD, _ladder_sum, _weight_derivatives
+from pinchlab.convergence import _EPS, _HEAD, _ladder_sum, _rung_length, _weight_derivatives
 
 mp.mp.dps = 50
 
@@ -105,18 +107,14 @@ def test_validity_check():
 
 def test_short_spectrum_small():
     ladder = short_spectrum(5, 0.2, 1.0)
-    assert ladder.count == 5
-    classes = list(ladder)
-    assert len(classes) == 5
-    for k, cls in enumerate(classes, start=1):
-        assert cls.multiplicity == 6
-        assert cls.primitive_length == 0.2
-        assert cls.length == pytest.approx(k * 0.2, rel=1e-15)
+    assert (ladder.pinch_length, ladder.radius, ladder.multiplicity, ladder.count) == (
+        0.2, 1.0, 6, 5)
+    for k in range(1, 6):
+        assert _rung_length(ladder.pinch_length, k) == pytest.approx(k * 0.2, rel=1e-15)
 
 
 def test_short_spectrum_empty_below_first_rung():
     assert short_spectrum(5, 0.3, 0.2).count == 0
-    assert list(short_spectrum(5, 0.3, 0.2)) == []
 
 
 def test_short_spectrum_validity_gate():
@@ -134,30 +132,23 @@ def test_ladder_count_boundaries(t, r, count):
 
 
 def test_ladder_indexing():
+    # a ladder is no sequence: the sums read its count, which may exceed
+    # anything a list could hold
     ladder = pinch_ladder(0.2, 1.0, 3)
-    assert len(ladder) == 5
-    assert ladder[0].length == pytest.approx(0.2)
-    assert ladder[-1].length == pytest.approx(1.0)
-    assert ladder[4] == ladder[-1]
-    with pytest.raises(IndexError):
-        ladder[5]
-    with pytest.raises(IndexError):
-        ladder[-6]
-    for bad in (1.5, True):
+    for use in (lambda: ladder[0], lambda: len(ladder), lambda: iter(ladder)):
         with pytest.raises(TypeError):
-            ladder[bad]
+            use()
     assert repr(ladder) == "PinchLadder(pinch_length=0.2, radius=1.0, multiplicity=3, count=5)"
 
 
 def test_ladder_iteration_matches_indexing():
     # 0.1 is not 1/10, so k * 0.1 is not the decimal k/10 (3 * 0.1 rounds up
-    # to 0.30000000000000004); iteration and indexing round k t alike
+    # to 0.30000000000000004); the rung lengths, which the reach check of
+    # plancherel_sum reads, round k t as the exact product
     ladder = pinch_ladder(0.1, 2.0, 1)
-    iterated = [cls.length for cls in ladder]
-    indexed = [ladder[k].length for k in range(ladder.count)]
-    assert iterated == indexed
-    assert iterated == [float(Fraction(0.1) * (k + 1)) for k in range(ladder.count)]
-    assert iterated[2] != 0.3
+    lengths = [_rung_length(ladder.pinch_length, k) for k in range(1, ladder.count + 1)]
+    assert lengths == [float(Fraction(0.1) * k) for k in range(1, ladder.count + 1)]
+    assert lengths[2] != 0.3
 
 
 def test_huge_ladder_count():
@@ -165,21 +156,13 @@ def test_huge_ladder_count():
     ladder = pinch_ladder(t, 1.0, 1)
     ref = int(mp.floor((1 + mp.mpf("1e-12")) / mp.mpf(t)))
     assert ladder.count == ref
-    cls = ladder[ladder.count - 1]
-    assert cls.length <= 1.0 * (1.0 + 1e-9)
+    assert _rung_length(t, ladder.count) <= 1.0 * (1.0 + 1e-9)
 
 
-def test_geodesic_class_rejects_non_multiple():
-    # a non-finite length or ratio is refused too, not left to round()
-    for length, primitive in ((0.5, 0.2), (math.nan, 1.0), (math.inf, 1.0),
-                              (1e300, 1e-300), (10**400, 1.0)):
+def test_ladder_rejects_multiplicities_below_one():
+    for bad in (0, -3, 1.5, True, math.nan):
         with pytest.raises(DomainError):
-            GeodesicClass(length=length, primitive_length=primitive, multiplicity=1)
-    # and a class, or a ladder, of no geodesics
-    with pytest.raises(DomainError):
-        GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=0)
-    with pytest.raises(DomainError):
-        pinch_ladder(0.1, 1.0, 0)
+            pinch_ladder(0.1, 1.0, bad)
 
 
 # ---------------------------------------------------------------- criterion sums
@@ -240,18 +223,18 @@ def test_plancherel_sum_term_bound():
         assert float(val) <= cap * (1.0 + 1e-12)
 
 
-def test_plancherel_sum_accepts_plain_classes():
-    classes = [
-        GeodesicClass(length=0.5, primitive_length=0.5, multiplicity=1),
-        GeodesicClass(length=1.0, primitive_length=0.5, multiplicity=1),
-    ]
-    val = plancherel_sum(classes, 1.0)
-    ref = plancherel_sum(pinch_ladder(0.5, 1.0, 1), 1.0)
-    assert float(val) == pytest.approx(float(ref), rel=1e-14)
-    # a class or a ladder reaching past the radius is refused
-    for spectrum in (classes, pinch_ladder(0.5, 1.0, 1)):
-        with pytest.raises(DomainError):
-            plancherel_sum(spectrum, 0.9)
+def test_sums_refuse_spectra_that_are_not_ladders():
+    # both sums take a PinchLadder and nothing else, not even a sequence of
+    # ladders; a ladder reaching past the radius is refused too
+    profile = transform_profile(bump(1.0))
+    ladder = pinch_ladder(0.5, 1.0, 1)
+    for spectrum in ([ladder], [], (ladder,), (x for x in [ladder]), None, 0.5):
+        with pytest.raises(DomainError, match="must be a PinchLadder"):
+            plancherel_sum(spectrum, 1.0)
+        with pytest.raises(DomainError, match="must be a PinchLadder"):
+            geometric_side(spectrum, profile)
+    with pytest.raises(DomainError, match="beyond radius"):
+        plancherel_sum(ladder, 0.9)
 
 
 @pytest.mark.parametrize("length,primitive,mult", [
@@ -260,12 +243,14 @@ def test_plancherel_sum_accepts_plain_classes():
     (3.0016094054548246, 1.5008047027274123, 12),
 ])
 def test_plancherel_sum_class_list_encloses_reference(length, primitive, mult):
-    # a multiply, a divide and libm sinh round each term by up to about 4
-    # ulp; a charge of 3e-16 of the term missed these three
-    cls = GeodesicClass(length=length, primitive_length=primitive, multiplicity=mult)
-    val = plancherel_sum([cls], length)
+    # these classes, whose terms a charge of 3e-16 each once missed, as the
+    # ladders of primitive length and multiplicity that reach them
+    ladder = pinch_ladder(primitive, length, mult)
+    assert ladder.count == round(length / primitive)
+    val = plancherel_sum(ladder, length)
     with mp.workdps(40):
-        ref = mult * mp.mpf(primitive) / mp.sinh(mp.mpf(length) / 2)
+        t = mp.mpf(primitive)
+        ref = mult * mp.fsum(t / mp.sinh(k * t / 2) for k in range(1, ladder.count + 1))
         assert abs(mp.mpf(float(val)) - ref) <= val.radius
 
 

@@ -7,7 +7,6 @@ import pytest
 from pinchlab import (
     CertifiedValue,
     DomainError,
-    GeodesicClass,
     Schedule,
     bump,
     classify_schedule,
@@ -86,8 +85,7 @@ def test_unreadable_reals_raise_domain_error(call):
 
 @pytest.mark.parametrize("call", [
     lambda: pinch_ladder(0.1, 1.0, HUGE),
-    lambda: GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=HUGE),
-], ids=["ladder", "class"])
+], ids=["ladder"])
 def test_multiplicities_past_the_float_range_raise_domain_error(call):
     # the sums scale by float(multiplicity), which would raise OverflowError
     with pytest.raises(DomainError):
@@ -98,19 +96,20 @@ def test_largest_multiplicity_and_counts_past_int64_stay_legal():
     top = int(sys.float_info.max)
     ladder = pinch_ladder(1e-300, 1.0, top)
     assert ladder.count > 2**63 and ladder.multiplicity == top
-    with pytest.raises(OverflowError):  # len() is bound to sys.maxsize
-        len(ladder)
-    assert GeodesicClass(length=1.0, primitive_length=1.0, multiplicity=top).multiplicity == top
+
+
+TOP = int(sys.float_info.max)  # the largest legal multiplicity
 
 
 @pytest.mark.parametrize("call", [
-    lambda: plancherel_sum([GeodesicClass(1.0, 1.0, 5 * 10**307)] * 2, 2.0),
-    lambda: plancherel_sum([GeodesicClass(2.0, 2.0, 10**308)], 2.0),
-    lambda: geometric_side([GeodesicClass(0.5, 0.5, 10**308)] * 2, transform_profile(bump(1.0))),
+    lambda: plancherel_sum(pinch_ladder(1.0, 2.0, TOP), 2.0),
+    lambda: plancherel_sum(pinch_ladder(2.0, 2.0, TOP), 2.0),
+    lambda: geometric_side(pinch_ladder(0.1, 0.9, TOP), transform_profile(bump(1.0))),
 ], ids=["plancherel_sum", "plancherel_sum_one_class", "geometric_side"])
 def test_class_sums_past_the_float_range_name_the_multiplicities(call):
-    # two finite terms whose sum overflows in fsum, or one term that is already inf
-    with pytest.raises(DomainError, match="leaves the float range; their multiplicities"):
+    # ladder sums whose every rung is finite but whose multiplicity takes the
+    # total past the float range: two rungs, one rung, and nine rungs of a kernel
+    with pytest.raises(DomainError, match="float range at a multiplicity of 1.79769e"):
         call()
 
 

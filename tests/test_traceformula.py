@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from pinchlab import (
     DomainError,
-    GeodesicClass,
     Schedule,
     TestFunction,
     TransformProfile,
@@ -28,7 +27,7 @@ from pinchlab import (
     validity_check,
     vanishing_series,
 )
-from pinchlab.convergence import _BLOCK
+from pinchlab.convergence import _BLOCK, _rung_length
 from pinchlab.traceformula import _GEO_GAUSS, _GEO_HEAD, _giant_split, _split_series
 
 mp.mp.dps = 50
@@ -207,7 +206,7 @@ def test_amplitude_extremes_enclose_or_raise_domain_error(S):
     base = transform_profile(bump(S))
     L = base.g_support
     spectra = [pinch_ladder(1e-3, L, 3), pinch_ladder(1e-8, L, 3), pinch_ladder(0.3 * L, L, 3),
-               [GeodesicClass(k * L / 50, L / 50, 3) for k in range(1, 50)]]
+               pinch_ladder(L / 50, L, 3)]
     refs = [geometric_side(spectrum, base) for spectrum in spectra]
     misses, refusals = [], []
     for a in AMPLITUDES:
@@ -545,60 +544,50 @@ def test_spectral_integral_refuses_aliased_support():
 # ---------------------------------------------------------------- geometric side
 
 def test_geometric_side_empty(profile1):
-    val = geometric_side([], profile1)
+    # a ladder whose first rung lies past its radius has no rungs
+    ladder = pinch_ladder(0.3, 0.2, 4)
+    assert ladder.count == 0
+    val = geometric_side(ladder, profile1)
     assert float(val) == 0.0 and val.radius == 0.0
 
 
 def test_geometric_side_single_class(profile1):
-    # length 0.5 lies inside the support L = 0.962, where g does not vanish
-    cls = GeodesicClass(length=0.5, primitive_length=0.5, multiplicity=1)
-    val = geometric_side([cls], profile1)
+    # one rung, at length 0.5 inside the support L = 0.962, where g does not vanish
+    ladder = pinch_ladder(0.5, 0.5, 1)
+    assert ladder.count == 1
+    val = geometric_side(ladder, profile1)
     w = float(mp.mpf("0.5") / (2 * mp.sinh(mp.mpf("0.25"))))
     assert float(val) == pytest.approx(w * profile1.g(0.5), rel=1e-14)
     assert val.radius >= profile1.kernel_error * w
 
 
+def termwise_side(profile, t, count, mult):
+    """(mult/2) sum over k = 1..count of t g(k t)/sinh(k t/2) with the
+    package's kernel, term by term in math.fsum, and the summed weights
+    mult t/sinh(k t/2)."""
+    lengths = [_rung_length(t, k) for k in range(1, count + 1)]
+    weights = [mult * t / math.sinh(0.5 * u) for u in lengths]
+    return (math.fsum(0.5 * w * profile.g(u) for w, u in zip(weights, lengths)),
+            math.fsum(weights))
+
+
 def test_geometric_side_list_against_fsum(profile1):
-    classes = list(pinch_ladder(0.07, 0.9, 4))
-    val = geometric_side(classes, profile1)
-    ref = math.fsum(
-        c.multiplicity * c.primitive_length / (2.0 * math.sinh(0.5 * c.length))
-        * profile1.g(c.length)
-        for c in classes
-    )
+    ladder = pinch_ladder(0.07, 0.9, 4)
+    val = geometric_side(ladder, profile1)
+    ref, _ = termwise_side(profile1, 0.07, ladder.count, 4)
     assert float(val) == pytest.approx(ref, rel=1e-13)
 
 
 def test_geometric_side_ladder_matches_list(profile1):
     ladder = pinch_ladder(0.01, 0.9, 6)
     fast = geometric_side(ladder, profile1)
-    slow = geometric_side(list(ladder), profile1)
-    assert float(fast) == pytest.approx(float(slow), rel=1e-12)
-    assert abs(float(fast) - float(slow)) <= fast.radius + slow.radius
-    # both routes charge the kernel error, so both enclose the reference
+    slow, weights = termwise_side(profile1, 0.01, ladder.count, 6)
+    assert float(fast) == pytest.approx(slow, rel=1e-12)
+    assert abs(float(fast) - slow) <= fast.radius
+    # the radius charges the kernel error, so it encloses the reference kernel's sum
     ref = reference_geometric(1.0, 0.01, ladder.count, 6)
     assert abs(float(fast) - ref) <= fast.radius
-    assert abs(float(slow) - ref) <= slow.radius
-    weights = math.fsum(3.0 * c.primitive_length / math.sinh(0.5 * c.length) for c in ladder)
-    assert slow.radius >= profile1.kernel_error * weights
-
-
-def test_geometric_side_class_list_is_one_array_call(profile1):
-    # the t = 1e-3 ladder as 962 classes: one array call on the lengths gives
-    # the value and the radius of one scalar kernel call per class, bit for bit
-    ladder = pinch_ladder(1e-3, profile1.g_support, 12)
-    classes = list(ladder)
-    assert len(classes) == 962
-    side = geometric_side(classes, profile1)
-    weighted = [(c.multiplicity * c.primitive_length / (2.0 * math.sinh(0.5 * c.length)),
-                 c.length) for c in classes]
-    terms = [w * profile1.g(length) for w, length in weighted]
-    radius = (8.0 * np.finfo(float).eps * math.fsum(abs(x) for x in terms)
-              + profile1.kernel_error * math.fsum(w for w, _ in weighted))
-    assert float(side) == math.fsum(terms)
-    assert side.radius == radius
-    ref = reference_geometric(1.0, 1e-3, ladder.count, 12)
-    assert abs(float(side) - ref) <= side.radius
+    assert fast.radius >= 0.5 * profile1.kernel_error * weights
 
 
 @pytest.fixture(scope="module")
@@ -623,7 +612,7 @@ def test_geometric_side_termwise_sandwich(profile1):
         ladder = pinch_ladder(t, 0.9, 2)
         gs = float(geometric_side(ladder, profile1))
         pl = float(plancherel_sum(ladder, 0.9))
-        top = ladder[ladder.count - 1].length
+        top = _rung_length(t, ladder.count)
         lo = 0.5 * profile1.g(top) * pl
         hi = 0.5 * profile1.g(0.0) * pl
         assert lo * (1.0 - 1e-9) <= gs <= hi * (1.0 + 1e-9)
@@ -650,11 +639,9 @@ def test_geometric_side_huge_ladder_is_cheap(profile1):
 
 
 def test_geometric_side_ladder_needs_profile():
-    # a bare kernel callable is refused for a ladder and for a class list alike
-    cls = GeodesicClass(length=0.5, primitive_length=0.5, multiplicity=1)
-    for spectrum in (pinch_ladder(1e-7, 1.0, 2), [cls]):
-        with pytest.raises(DomainError):
-            geometric_side(spectrum, lambda r: 1.0)
+    # a bare kernel callable is refused
+    with pytest.raises(DomainError):
+        geometric_side(pinch_ladder(1e-7, 1.0, 2), lambda r: 1.0)
 
 
 @pytest.mark.parametrize("rungs", [1100, 200_000])
