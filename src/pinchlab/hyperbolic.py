@@ -8,10 +8,12 @@ hyperbolic length units.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, NotHyperbolic, _as_int, _as_real, _require_positive
 
 LOG2 = math.log(2.0)
+_NORMAL_MIN = sys.float_info.min  # below it l/2 rounds, down to 0 at the smallest length
 
 # sinh(arcsinh(1)) = 1: the radius at which the radius-R collar specializes
 # to the standard collar.
@@ -38,11 +40,21 @@ def _acosh1p(x: float) -> float:
     return math.log1p(x + math.sqrt(x * (x + 2.0)))
 
 
-def _log_sinh(u: float) -> float:
-    # sinh(u) = e^u (1 - e^{-2u}) / 2; the direct path overflows past u ~ 710
-    if u < 300.0:
-        return math.log(math.sinh(u))
-    return u - LOG2 + math.log1p(-math.exp(-2.0 * u))
+def _log1mexp(x: float) -> float:
+    """log(1 - e^-x) for x > 0, as log(-expm1(-x)): exact in the small
+    lengths, where 1 - e^-x cancels, and 0 where e^-x underflows."""
+    return math.log(-math.expm1(-x))
+
+
+def _collar(length: float) -> float:
+    """arcsinh(1/sinh(l/2)) for a valid length: log(4/l) below the normal
+    range, where 1/sinh(l/2) overflows, and 2 e^(-l/2) past l = 1400, where
+    it underflows."""
+    if length < _NORMAL_MIN:
+        return 2.0 * LOG2 - math.log(length)
+    if length > 1400.0:
+        return math.exp(LOG2 - 0.5 * length)
+    return math.asinh(1.0 / _sinh_half(length))
 
 
 def length_from_trace(abs_trace: float) -> float:
@@ -65,8 +77,7 @@ def length_from_trace(abs_trace: float) -> float:
 def collar_width(length: float) -> float:
     """Half-width arcsinh(1/sinh(l/2)) of the embedded collar around a simple
     closed geodesic of the given length. Strictly decreasing in the length."""
-    l = _require_positive("length", length)
-    return math.asinh(1.0 / _sinh_half(l))
+    return _collar(_require_positive("length", length))
 
 
 def collar_width_at_radius(length: float, radius: float) -> float:
@@ -77,13 +88,17 @@ def collar_width_at_radius(length: float, radius: float) -> float:
     """
     l = _require_positive("length", length)
     r = _require_positive("radius", radius)
-    y = 0.5 * l
-    if r > 300.0 or y > 300.0:
-        log_ratio = _log_sinh(r) - _log_sinh(y)
-        if log_ratio < 700.0:
-            return math.asinh(math.exp(log_ratio))
-        return LOG2 + log_ratio  # asinh(x) = log(2x) + O(x^-2)
-    return math.asinh(math.sinh(r) / _sinh_half(l))
+    x = math.inf
+    if r < 709.0 and l <= 1400.0:
+        # sinh(l/2) is l/2 below the normal range, where l/2 need not be a float
+        x = 2.0 * math.sinh(r) / l if l < _NORMAL_MIN else math.sinh(r) / _sinh_half(l)
+    if x < math.inf:
+        return math.asinh(x)
+    # log x from the exact R - l/2 and two logs that are small wherever x is
+    log_x = math.fsum((r, -0.5 * l, _log1mexp(2.0 * r), -_log1mexp(l)))
+    if log_x > 20.0:
+        return LOG2 + log_x  # asinh(x) = log(2x) + O(x^-2)
+    return math.asinh(math.exp(log_x))
 
 
 def cylinder_volume(length: float, radius: float) -> float:
@@ -92,10 +107,17 @@ def cylinder_volume(length: float, radius: float) -> float:
     limit l -> 0."""
     l = _require_positive("length", length)
     r = _require_positive("radius", radius)
-    ratio = l / _sinh_half(l)  # 0 for very long geodesics
-    if r > 709.0:
-        return math.inf if ratio > 0.0 else 0.0
-    return 4.0 * math.pi * math.sinh(r) * ratio
+    if r <= 700.0 and l <= 1400.0:
+        # l/sinh(l/2) is 2 below the normal range, where l/2 need not be a float
+        return 4.0 * math.pi * math.sinh(r) * (2.0 if l < _NORMAL_MIN else l / _sinh_half(l))
+    # 4 pi e^(R - l/2) (1 - e^-2R) l/(1 - e^-l), its logarithm summed exactly;
+    # l/(1 - e^-l) lies in [1, l]
+    log_v = math.fsum((r, -0.5 * l, math.log(4.0 * math.pi), _log1mexp(2.0 * r),
+                       math.log(l / -math.expm1(-l))))
+    try:
+        return math.exp(log_v)
+    except OverflowError:
+        return math.inf
 
 
 def thin_part_upper_bound(simple_count: int, radius: float) -> float:
@@ -109,7 +131,13 @@ def thin_part_upper_bound(simple_count: int, radius: float) -> float:
         return 0.0
     if r > 709.0:
         return math.inf
-    return 8.0 * math.pi * math.sinh(r) * n
+    # one rounding of the exact product, for counts past the float range too
+    a, b = (8.0 * math.pi).as_integer_ratio()
+    p, q = math.sinh(r).as_integer_ratio()
+    try:
+        return n * a * p / (b * q)
+    except OverflowError:
+        return math.inf
 
 
 def injrad_from_collar(length: float, offset: float) -> float:
@@ -119,21 +147,25 @@ def injrad_from_collar(length: float, offset: float) -> float:
     lam = _as_real("offset", offset)
     if not lam >= 0.0:
         raise DomainError(f"offset must be a nonnegative finite real, got {offset!r}")
-    y = 0.5 * l
-    if y + lam > 350.0:
-        # sinh(y)cosh(lam) = e^{y+lam}(1-e^{-2y})(1+e^{-2lam})/4, then log form of asinh
-        return (y + lam) + math.log(
-            (1.0 - math.exp(-2.0 * y)) * (1.0 + math.exp(-2.0 * lam)) / 2.0
-        )
-    return math.asinh(_sinh_half(l) * math.cosh(lam))
+    x = math.inf  # sinh(l/2) cosh(lam)
+    if lam < 1400.0 and l <= 1400.0:
+        # past lam = 700, cosh(lam) = c (c/2) with c = e^(lam/2), which stays finite
+        c = math.cosh(lam) if lam < 700.0 else math.exp(0.5 * lam)
+        # sinh(l/2) is l/2 below the normal range, where l/2 need not be a float
+        x = l * c * 0.5 if l < _NORMAL_MIN else _sinh_half(l) * c
+        if lam >= 700.0:
+            x *= 0.5 * c
+    if x < math.inf:
+        return math.asinh(x)
+    # x = e^(l/2 + lam) (1 - e^-l) (1 + e^-2 lam)/4 is past the float range here
+    return LOG2 + math.fsum((0.5 * l, lam, -2.0 * LOG2, _log1mexp(l),
+                             math.log1p(math.exp(-2.0 * lam))))
 
 
 def crossing_length_bound(pinch_length: float) -> float:
     """Minimal length 2*arcsinh(1/sinh(t/2)) of a simple closed geodesic that
     crosses a geodesic of length t; diverges as t -> 0."""
-    t = _require_positive("pinch_length", pinch_length)
-    inv = 1.0 / _sinh_half(t)  # overflows to inf only below the subnormal floor of sinh
-    return 2.0 * math.asinh(inv)
+    return 2.0 * _collar(_require_positive("pinch_length", pinch_length))
 
 
 def distortion_bound(eps: float) -> float:

@@ -182,6 +182,61 @@ def test_distortion_bound_window():
             distortion_bound(bad)
 
 
+# lengths, radii and offsets from the smallest float to far past the float
+# range of sinh; 1450 puts 1/sinh(l/2) in the subnormal range
+GRID = [5e-324, 1e-310, 1e-300, 1e-20, 1e-8, 1e-3, 0.5, 2.0, 50.0, 300.0, 700.0, 705.0,
+        710.0, 720.0, 1400.0, 1450.0, 1500.0, 2000.0, 1e5]
+PAIRS = [(a, b) for a in GRID for b in GRID]
+COUNTS = [1, 3, 2**63 + 1, 10**308, 10**400]
+
+
+def grid_misses(fn, reference, args):
+    """The arguments where fn misses its 50-digit reference: by more than
+    1e-13 relative, or four of the smallest floats for a value below the
+    normal range; a value past the float range must be inf."""
+    misses = []
+    for arg in args:
+        got = fn(*arg)
+        ref = reference(*(mp.mpf(x) if isinstance(x, float) else x for x in arg))
+        if ref > sys.float_info.max:
+            ok = got == math.inf
+        else:
+            ok = abs(mp.mpf(got) - ref) <= max(1e-13 * ref, 4 * math.ulp(0.0))
+        if not ok:
+            misses.append((arg, got, mp.nstr(ref, 17)))
+    return misses
+
+
+def test_collar_width_grid():
+    assert grid_misses(collar_width, lambda l: mp.asinh(1 / mp.sinh(l / 2)),
+                       [(l,) for l in GRID]) == []
+
+
+def test_crossing_length_bound_grid():
+    assert grid_misses(crossing_length_bound, lambda t: 2 * mp.asinh(1 / mp.sinh(t / 2)),
+                       [(t,) for t in GRID]) == []
+
+
+def test_collar_width_at_radius_grid():
+    assert grid_misses(collar_width_at_radius,
+                       lambda l, r: mp.asinh(mp.sinh(r) / mp.sinh(l / 2)), PAIRS) == []
+
+
+def test_cylinder_volume_grid():
+    assert grid_misses(cylinder_volume,
+                       lambda l, r: 4 * mp.pi * mp.sinh(r) * l / mp.sinh(l / 2), PAIRS) == []
+
+
+def test_injrad_from_collar_grid():
+    assert grid_misses(injrad_from_collar, lambda l, lam: mp.asinh(mp.sinh(l / 2) * mp.cosh(lam)),
+                       PAIRS + [(l, 0.0) for l in GRID]) == []
+
+
+def test_thin_part_upper_bound_grid():
+    assert grid_misses(thin_part_upper_bound, lambda n, r: 8 * mp.pi * mp.sinh(r) * n,
+                       [(n, r) for n in COUNTS for r in GRID]) == []
+
+
 def test_positive_domain_enforced():
     for fn in (collar_width, crossing_length_bound):
         for bad in (0.0, -1.0, math.nan):
