@@ -1,7 +1,10 @@
 """What the package loads and binds, each case in a fresh interpreter where
 the import matters: numpy is the only third-party module it loads, and only
-the numeric exports and subcommands load it; every export still resolves."""
+the numeric exports and subcommands load it; every export still resolves.
+And what its source leaves behind: no module imports a name it never uses,
+and every module-level private name is read somewhere in the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -13,6 +16,7 @@ import pytest
 import pinchlab
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "pinchlab").glob("*.py"))
 SUBMODULES = ("certified", "congruence", "convergence", "errors", "hyperbolic", "traceformula")
 
 
@@ -81,3 +85,52 @@ def test_unknown_attribute_raises_attribute_error():
         pinchlab.no_such
     with pytest.raises(ImportError):
         from pinchlab import no_such  # noqa: F401
+
+
+def _reads(tree: ast.Module, exports: bool) -> set[str]:
+    """The names a module reads: loaded names and attributes, and, where
+    ``exports`` is set, the string constants, which list its exports by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif exports and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _bound(statement) -> list[str]:
+    """The module-level names a top-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else (
+        [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def test_source_has_no_unused_imports_or_private_names():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    reads = {name: _reads(tree, name == "__init__") for name, tree in trees.items()}
+    imported_by = {name: {alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom) for alias in node.names}
+                   for name, tree in trees.items()}
+    unused_imports, unread_private = [], []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in reads[name]:
+                        unused_imports.append(f"{name}: {bound}")
+        for statement in tree.body:
+            for bound in _bound(statement):
+                private = bound.startswith("_") and not bound.startswith("__")
+                if private and not any(bound in reads[other] or bound in imported_by[other]
+                                       for other in trees if other != name) \
+                        and bound not in reads[name]:
+                    unread_private.append(f"{name}: {bound}")
+    assert unused_imports + unread_private == []
