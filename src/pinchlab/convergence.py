@@ -430,7 +430,7 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
     multiplicity near that range brings) raise DomainError.
     """
     if not isinstance(spectrum, PinchLadder):
-        raise DomainError(f"spectrum must be a PinchLadder, got {spectrum!r}")
+        raise DomainError(f"spectrum must be a PinchLadder, got {type(spectrum).__name__}")
     r = _require_positive("radius", radius)
     t, count, mult = spectrum.pinch_length, spectrum.count, spectrum.multiplicity
     reach = _rung_length(t, count)

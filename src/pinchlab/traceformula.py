@@ -531,7 +531,7 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     if not isinstance(profile, TransformProfile):
         raise DomainError(f"profile must be a TransformProfile, got {profile!r}")
     if not isinstance(spectrum, PinchLadder):
-        raise DomainError(f"spectrum must be a PinchLadder, got {spectrum!r}")
+        raise DomainError(f"spectrum must be a PinchLadder, got {type(spectrum).__name__}")
     t = spectrum.pinch_length
     count = min(spectrum.count, _ladder_count(t, profile.g_support))
     return _block_sides([(t, count, spectrum.multiplicity)], profile)[0]
