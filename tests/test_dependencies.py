@@ -112,25 +112,20 @@ def _bound(statement) -> list[str]:
 
 
 def test_source_has_no_unused_imports_or_private_names():
+    # an import is read in its own module; a private name in any module,
+    # since another module that imports it must read it too
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
     reads = {name: _reads(tree, name == "__init__") for name, tree in trees.items()}
-    imported_by = {name: {alias.name for node in ast.walk(tree)
-                          if isinstance(node, ast.ImportFrom) for alias in node.names}
-                   for name, tree in trees.items()}
-    unused_imports, unread_private = [], []
+    read_anywhere = set().union(*reads.values())
+    unused = []
     for name, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
-                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in reads[name]:
-                        unused_imports.append(f"{name}: {bound}")
-        for statement in tree.body:
-            for bound in _bound(statement):
-                private = bound.startswith("_") and not bound.startswith("__")
-                if private and not any(bound in reads[other] or bound in imported_by[other]
-                                       for other in trees if other != name) \
-                        and bound not in reads[name]:
-                    unread_private.append(f"{name}: {bound}")
-    assert unused_imports + unread_private == []
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{name}: import {bound}" for bound in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if bound not in reads[name]]
+        unused += [f"{name}: {bound}" for statement in tree.body for bound in _bound(statement)
+                   if bound.startswith("_") and not bound.startswith("__")
+                   and bound not in read_anywhere]
+    assert unused == []
