@@ -15,10 +15,12 @@ the ScheduleRow fields. The verdicts are one dict of name to verdict, printed
 as ``# name: verdict`` lines after the CSV rows and under "verdicts" in JSON
 when there are any.
 
-``survey`` and ``systole`` run on the exact layer alone, so they never
-import numpy. ``schedule`` and ``trace-check`` need ``convergence`` or
-``traceformula``; ``main`` imports that module before it starts the clock,
-so meta.wall_clock_s is the handler's time without the numpy import.
+Each subcommand's entry in ``_HANDLERS`` names its handler and the module
+that handler imports: ``congruence`` for ``survey`` and ``systole``, which
+run on the exact layer alone and never import numpy, ``convergence`` for
+``schedule`` and ``traceformula`` for ``trace-check``. ``main`` imports that
+module before it starts the clock, so meta.wall_clock_s is the handler's
+time without the import.
 """
 
 from __future__ import annotations
@@ -32,12 +34,6 @@ import sys
 import time
 
 from . import __version__
-from .congruence import (
-    min_hyperbolic_trace,
-    search_size_estimate,
-    surface_data,
-    witness_matrix,
-)
 from .errors import PinchlabError
 
 class _UsageError(Exception):
@@ -108,6 +104,8 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _cmd_survey(params: dict):
+    from .congruence import surface_data
+
     n_min, n_max = params["n_min"], params["n_max"]
     if not 3 <= n_min <= n_max <= 10**4:
         raise _UsageError(
@@ -131,6 +129,8 @@ def _cmd_survey(params: dict):
 
 
 def _cmd_systole(params: dict):
+    from .congruence import min_hyperbolic_trace, search_size_estimate, witness_matrix
+
     level, bound = params["level"], params["entry_bound"]
     if level < 3:
         raise _UsageError(f"level must be >= 3, got {level}")
@@ -264,17 +264,12 @@ def _cmd_trace_check(params: dict):
     return rows, {}, 0 if all(row["passed"] for row in rows) else 1
 
 
+# each subcommand's handler, and the module it imports, loaded before its clock starts
 _HANDLERS = {
-    "survey": _cmd_survey,
-    "systole": _cmd_systole,
-    "schedule": _cmd_schedule,
-    "trace-check": _cmd_trace_check,
-}
-
-# the module each numeric subcommand imports, loaded before its clock starts
-_NUMERIC_MODULES = {
-    "schedule": ".convergence",
-    "trace-check": ".traceformula",
+    "survey": (_cmd_survey, ".congruence"),
+    "systole": (_cmd_systole, ".congruence"),
+    "schedule": (_cmd_schedule, ".convergence"),
+    "trace-check": (_cmd_trace_check, ".traceformula"),
 }
 
 
@@ -322,11 +317,11 @@ def main(argv=None) -> int:
     params = {
         k: v for k, v in vars(args).items() if k not in ("command", "out", "format")
     }
-    if args.command in _NUMERIC_MODULES:
-        importlib.import_module(_NUMERIC_MODULES[args.command], __package__)
+    handler, module = _HANDLERS[args.command]
+    importlib.import_module(module, __package__)
     start = time.perf_counter()
     try:
-        rows, verdicts, code = _HANDLERS[args.command](params)
+        rows, verdicts, code = handler(params)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

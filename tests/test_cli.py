@@ -280,7 +280,7 @@ def test_library_error_exits_1(capsys, monkeypatch):
     def refuse(params):
         raise DomainError("refused")
 
-    monkeypatch.setitem(cli._HANDLERS, "survey", refuse)
+    monkeypatch.setitem(cli._HANDLERS, "survey", (refuse, ".congruence"))
     code, out, err = run(capsys, "survey", "--n-min", "3", "--n-max", "4")
     assert (code, out, err) == (1, "", "error: refused\n")
 

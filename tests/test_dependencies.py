@@ -1,6 +1,7 @@
 """What the package loads and binds, each case in a fresh interpreter where
-the import matters: numpy is the only third-party module it loads, and only
-the numeric exports and subcommands load it; every export still resolves.
+the import matters: the import itself loads no submodule, numpy is the only
+third-party module the package loads, and only the numeric exports and
+subcommands load it; every export still resolves.
 And what its source leaves behind: no module imports a name it never uses,
 and every module-level private name is read somewhere in the package."""
 
@@ -36,6 +37,10 @@ def _fresh(code: str, result: str):
 def _loaded(code: str, top: str) -> list[str]:
     """The modules of package ``top`` loaded after ``code`` ran in a fresh interpreter."""
     return _fresh(code, f"sorted(m for m in sys.modules if m.split('.')[0] == {top!r})")
+
+
+def test_import_loads_no_submodule():
+    assert _loaded("import pinchlab", "pinchlab") == ["pinchlab"]
 
 
 def test_import_loads_no_scipy():
