@@ -41,9 +41,7 @@ class _UsageError(Exception):
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.16e}"
+    return f"{x:.16e}"  # "nan" for a NaN of either sign
 
 
 def _csv_text(rows: list[dict], verdicts: dict) -> str:
@@ -53,8 +51,6 @@ def _csv_text(rows: list[dict], verdicts: dict) -> str:
         for v in row.values():
             if isinstance(v, bool):
                 cells.append("true" if v else "false")
-            elif isinstance(v, int):
-                cells.append(str(v))
             elif isinstance(v, float):
                 cells.append(_fmt_float(v))
             else:

@@ -501,10 +501,11 @@ def _sandwich(pairs: int, t: float, r: float) -> tuple[float, float]:
     return lower, upper
 
 
+# past the float range the pinch underflows to 0, which _validate_pinch refuses
 _RULES = {
-    "reciprocal": lambda n: 1.0 / n,
-    "exponential": lambda n: math.exp(-float(n)),
-    "superexponential": lambda n: math.exp(-float(n * n)),
+    "reciprocal": lambda n: 1 / n,
+    "exponential": lambda n: math.exp(-min(n, 800)),
+    "superexponential": lambda n: math.exp(-min(n * n, 800)),
 }
 
 

@@ -36,7 +36,13 @@ def _sinh_half(length: float) -> float:
 
 
 def _acosh1p(x: float) -> float:
-    # arccosh(1 + x) without cancellation for small x
+    """arccosh(1 + x), without cancellation for small x. Past 1 + x = 1e8 it
+    is log(2(1 + x)): arccosh(y) = log(2y) - 1/(4y^2) - ..., and the
+    correction is below one ulp there, where x(x + 2) would overflow past
+    x ~ 1.3e154."""
+    y = x + 1.0
+    if y > 1e8:
+        return math.log(y) + LOG2
     return math.log1p(x + math.sqrt(x * (x + 2.0)))
 
 
@@ -66,12 +72,7 @@ def length_from_trace(abs_trace: float) -> float:
     x = _as_real("abs_trace", abs_trace)
     if x <= 2.0:
         raise NotHyperbolic(f"|trace| = {x!r} is not > 2; no closed geodesic")
-    half = 0.5 * x
-    if half > 1e8:
-        # acosh(h) = log(2h) - 1/(4h^2) - ...; the correction is below one ulp
-        # here, and the direct path would overflow past h ~ 1e154
-        return 2.0 * (math.log(half) + LOG2)
-    return 2.0 * _acosh1p(half - 1.0)  # half - 1 is exact for half < 2^53
+    return 2.0 * _acosh1p(0.5 * x - 1.0)  # 0.5 x - 1 is exact for |trace| < 2^54
 
 
 def collar_width(length: float) -> float:

@@ -83,8 +83,9 @@ class TestFunction:
     def __post_init__(self) -> None:
         s = _require_positive("support_bound", self.support_bound)
         object.__setattr__(self, "support_bound", s)
-        for u in np.linspace(s, 2.0 * s, 9):
-            if self.evaluator(float(u)) != 0.0:
+        # Python floats reach inf past the float range, where numpy would warn
+        for u in (s + i * (s / 8.0) for i in range(9)):
+            if self.evaluator(u) != 0.0:
                 raise DomainError(f"evaluator({u}) != 0 beyond the stated support {s}")
         for u in np.linspace(0.0, s, 33):
             if not math.isfinite(self.evaluator(float(u))):
@@ -188,15 +189,27 @@ def _derivative(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def _nested_reals(u):
+def _nested_reals(name: str, u):
     """u read as ``errors._read_real`` reads a real, or, for a list, a tuple
     or an array, the nested lists of such reads. Unlike numpy, it never
     reads the bytes of a buffer as numbers."""
     if isinstance(u, np.ndarray):
         u = u.tolist()
     if isinstance(u, (list, tuple)):
-        return [_nested_reals(x) for x in u]
-    return _read_real("u", u)
+        return [_nested_reals(name, x) for x in u]
+    return _read_real(name, u)
+
+
+def _abs_reals(name: str, u) -> np.ndarray:
+    """|u| as a float array, for ``g`` and ``h_batch``. Arrays of numbers
+    are read as they stand; anything else through ``_nested_reals``, so text
+    and truth values raise DomainError, and so do lists of unequal lengths."""
+    if isinstance(u, np.ndarray) and u.dtype.kind in "fiu":
+        return np.abs(u.astype(float, copy=False))
+    try:
+        return np.abs(np.array(_nested_reals(name, u), dtype=float))
+    except ValueError:  # lists of unequal lengths
+        raise DomainError(f"{name} must be a real or an array of reals, got {u!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +231,9 @@ class TransformProfile:
     rounding at normal amplitudes. It reads
     only the coefficients, so it does not see errors in the sampled values
     of g that the coefficients interpolate. Past the float range it raises
-    DomainError naming the kernel's scale, as ``h_batch`` does. The columns
-    of ``_ladder_series`` are g, g', ..., g^(6) (derivatives in u) as full
-    Chebyshev series in T_k(u/L), k = 0..254, for the geometric side.
-    ``h_batch`` is the cosine transform of g over float arrays by a fixed
+    DomainError naming the kernel's scale, as ``h_batch`` does. The
+    geometric side reads g and its derivatives in x = u/L from
+    ``_ladder_series``. ``h_batch`` is the cosine transform of g by a fixed
     rule, accurate to about 1e-12 absolute while |r| * g_support stays at or
     below 1300; past that the rule aliases and it raises DomainError. ``h``
     is ``h_batch`` at one point, so a ``dataclasses.replace`` of ``h_batch``
@@ -229,12 +241,12 @@ class TransformProfile:
 
     ``g`` takes a real or an array and sums the series by baby and giant
     steps (``_split_series``), so an array call gives the bits of a call per
-    point; the rule for h reads g at its 384 nodes through it. It reads its
-    argument as ``errors._read_real`` reads a real, also inside nested lists
-    (``_nested_reals``): text and truth values raise DomainError, and a real
-    past the float range lies beyond the support, where g is 0. Lists of
-    unequal lengths raise DomainError. Arrays of numbers are read as they
-    stand.
+    point; the rule for h reads g at its 384 nodes through it. ``g`` and
+    ``h_batch`` read their arguments as ``errors._read_real`` reads a real,
+    also inside nested lists (``_abs_reals``): text and truth values raise
+    DomainError, and a real past the float range lies beyond the support,
+    where g is 0, and beyond the reach of h. Arrays of numbers are read as
+    they stand.
     """
 
     g_support: float
@@ -243,13 +255,7 @@ class TransformProfile:
 
     def g(self, u):
         L = self.g_support
-        if isinstance(u, np.ndarray) and u.dtype.kind in "fiu":
-            arr = np.abs(u.astype(float, copy=False))
-        else:
-            try:
-                arr = np.abs(np.array(_nested_reals(u), dtype=float))
-            except ValueError:  # lists of unequal lengths
-                raise DomainError(f"g needs a real or an array of reals, got {u!r}") from None
+        arr = _abs_reals("u", u)
         out = np.where(arr >= L, 0.0, _split_series(self._split, np.minimum(arr, L) / L))
         if out.ndim == 0:
             return float(out)
@@ -281,10 +287,14 @@ class TransformProfile:
 
     @cached_property
     def _ladder_series(self) -> np.ndarray:
+        """g, dg/dx, ..., d^6g/dx^6 in x = u/L, as the columns of full
+        Chebyshev series in T_k(x), k = 0..254. In x, not in u: the i-th
+        derivative in u is L^-i times the one in x, and at small supports,
+        where L is about sqrt(S), that leaves the float range."""
         columns = [np.zeros(_DEGREE)]
         columns[0][0::2] = self.coefficients
         for _ in range(6):
-            columns.append(_derivative(columns[-1]) / self.g_support)
+            columns.append(_derivative(columns[-1]))
         return np.stack(columns, axis=1)
 
     @cached_property
@@ -298,7 +308,8 @@ class TransformProfile:
 
     @cached_property
     def _series_sups(self) -> tuple[float, ...]:
-        """Bounds on |g|, |g'|, ..., |g^(6)|: the coefficient sums of their series."""
+        """Bounds on |g|, |dg/dx|, ..., |d^6g/dx^6| in x = u/L: the
+        coefficient sums of their series, as |T_k| <= 1."""
         return tuple(np.sum(np.abs(self._ladder_series), axis=0).tolist())
 
 
@@ -351,7 +362,7 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
     xg = 0.5 * L * (xg + 1.0)
 
     def h_batch(r) -> np.ndarray:
-        r = np.abs(np.asarray(r, dtype=float))
+        r = _abs_reals("r", r)
         flat = r.ravel()
         if flat.size and not float(flat.max()) * L <= _H_REACH:
             raise DomainError(f"h needs |r| * g_support <= {_H_REACH:g}, got |r| = "
@@ -436,10 +447,11 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
 
     The ladder engine ``_ladder_sums`` sums them, with heads of _GEO_HEAD
     rungs and tails, k = a..b, cut at the support L. This supplies the
-    kernel: g at the head rungs; g, g', g'' and g''' at the two tail ends,
-    from the derivative series (one cosine matrix for the block), and the
-    bounds G_i on |g^(i)|, the coefficient sums of those series, as
-    |T_k| <= 1, all times t^i to make them derivatives in k; and the tail
+    kernel: g at the head rungs; g and its first three derivatives at the
+    two tail ends, from the derivative series in x = u/L (one cosine matrix
+    for the block), and the bounds on the first six, ``_series_sups``, all
+    times (t/L)^i to make them derivatives in k. A ladder with a tail has
+    t/L < 1/1024, so no scaled value overflows, however small L; and the tail
     integral int g(u)/sinh(u/2) du over [a t, b t]. That integral is
     2 g(0) log(b/a) plus a 128-point Gauss-Legendre rule for the rest:
     2 (g(u) - g(0))/u, a polynomial of degree 253 on the series that the
@@ -477,8 +489,9 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
     kernels = [None] * len(ladders)
     if tailed:
         g0 = profile._g0
-        # the engine takes t^i g^(i), the derivatives in the rung number
-        scales = np.array([[ts[i] ** p for p in range(7)] for i in tailed])
+        # the engine takes t^i g^(i), the derivatives in the rung number, and
+        # the series give L^i g^(i), the derivatives in x = u/L
+        scales = np.array([[(ts[i] / L) ** p for p in range(7)] for i in tailed])
         series = (np.cos(np.outer(np.arccos(np.array(spans).ravel() / L), _ORDERS))
                   @ profile._ladder_series)
         ends = (series.reshape(-1, 2, 7)[:, :, :4] * scales[:, None, :4]).tolist()

@@ -9,6 +9,7 @@ import pytest
 from pinchlab import (
     DomainError,
     PinchLadder,
+    PinchlabError,
     Schedule,
     ValidityError,
     bs_ratio,
@@ -20,6 +21,7 @@ from pinchlab import (
     harmonic_sum,
     other_geodesic_floor,
     pinch_ladder,
+    plancherel_integral,
     plancherel_sum,
     sandwich_bounds,
     short_spectrum,
@@ -462,3 +464,86 @@ def test_classify_schedule_rows_are_plancherel_sums(radius, j_max):
         s = plancherel_sum(pinch_ladder(row.pinch, radius, row.b_pairs), radius)
         assert (row.pl_sum.hex(), row.pl_sum_radius.hex()) == (
             float(s).hex(), s.radius.hex()), row.level
+
+
+# ---------------------------------------------------------------- extremes
+
+GRID_SUPPORTS = [1e-300, 1e-200, 1e-120, 1e-20, 1.0, 8.0, 1e4, 1e38, 2e40, 1e41, 1e155, 1e300,
+                 1.7e308]
+
+
+def _outcome(call, encloses):
+    """"value" where call() returns and encloses(value) holds, "typed" where
+    it raises a PinchlabError, and otherwise what went wrong, numpy's
+    warnings included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except PinchlabError:
+            return "typed"
+        except Exception as exc:  # anything else that escapes is the fault looked for
+            return f"{type(exc).__name__}: {exc}"
+    return "value" if encloses(value) else "misses its reference"
+
+
+def _termwise_side(profile, ladder):
+    """The geometric side of ``ladder`` with the kernel of ``profile``,
+    summed term by term by math.fsum over its rungs."""
+    t = ladder.pinch_length
+    u = np.array([_rung_length(t, k) for k in range(1, ladder.count + 1)])
+    terms = t * profile.g(u) / (2.0 * np.sinh(0.5 * u))
+    return ladder.multiplicity * math.fsum(terms.tolist())
+
+
+def test_extremes_enclose_or_raise_typed_errors():
+    # t down to 1e-300, radii up to 1e300, multiplicities past 2^63 and the
+    # float range, supports from 1e-300 to the float range, schedule levels
+    # past the float range, and text and truth values where h reads reals:
+    # each call encloses its reference or raises a PinchlabError
+    outcomes = {}
+    for t in (1e-300, 1e-3, 0.5):
+        for r in (1.0, 1e300):
+            unit = exact_ladder_sum(t, pinch_ladder(t, r, 1).count, 1)
+            for mult in (1, 2**63 + 1, 10**300):
+                ref = mult * mp.mpf(unit)
+                outcomes["sum", t, r, mult] = _outcome(
+                    lambda: plancherel_sum(pinch_ladder(t, r, mult), r),
+                    lambda v: abs(v - ref) <= v.radius)
+    phi0 = math.exp(-1.0)
+    for S in GRID_SUPPORTS:
+        L = float(2 * mp.asinh(mp.sqrt(S) / 2))  # arccosh(1 + S/2), which 1 + S/2 would round
+        profile = None
+
+        def build():
+            nonlocal profile
+            profile = transform_profile(bump(S))
+            return profile
+
+        outcomes["profile", S] = _outcome(
+            build, lambda p: abs(p.g_support - L) <= 4 * _EPS * L and math.isfinite(p.g(0.0)))
+        if profile is None:
+            continue
+        outcomes["spectral", S] = _outcome(lambda: plancherel_integral(profile),
+                                           lambda v: abs(v - phi0) <= v.radius)
+        for n in (10, 2000):
+            ladder = pinch_ladder(profile.g_support / (n + 0.5), profile.g_support, 1)
+            outcomes["geometric", S, n] = _outcome(
+                lambda: geometric_side(ladder, profile),
+                lambda v: ladder.count == n and abs(v - _termwise_side(profile, ladder))
+                <= v.radius)
+    for rule in ("reciprocal", "exponential", "superexponential"):
+        for n in (10**20, 10**160, 10**400):
+            t_ref = {"reciprocal": mp.mpf(1) / n, "exponential": mp.exp(-n),
+                     "superexponential": mp.exp(-mp.mpf(n) ** 2)}[rule]
+            outcomes["schedule", rule, n] = _outcome(
+                lambda: Schedule.from_rule(rule, [n], rule),
+                lambda s: abs(s.pinch_lengths[0] - t_ref) <= _EPS * t_ref)
+    h_batch = transform_profile(bump(1.0)).h_batch
+    for bad in (["1"], [True], "1", True, np.array([True]), [[0.5], [0.5, 1.0]]):
+        outcomes["h_batch", repr(bad)] = _outcome(lambda: h_batch(bad), lambda v: False)
+    assert {key: got for key, got in outcomes.items() if got not in ("value", "typed")} == {}
+    # the true values are finite there, so a refusal would be no answer
+    assert all(outcomes["geometric", S, n] == "value" for S in GRID_SUPPORTS if S <= 1e-120
+               for n in (10, 2000))
+    assert all(outcomes["profile", S] == "value" for S in GRID_SUPPORTS if S >= 1e155)
