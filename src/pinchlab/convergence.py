@@ -22,7 +22,8 @@ from .certified import CertifiedValue
 from .congruence import surface_data
 from .errors import (DomainError, InternalInvariantViolation, ValidityError, _as_int,
                      _as_level, _as_real, _require_positive)
-from .hyperbolic import _sinh_half, crossing_length_bound, distortion_bound, length_from_trace
+from .hyperbolic import (_log_tanh, _sinh_half, crossing_length_bound, distortion_bound,
+                         length_from_trace)
 
 # Decimal-intended floats get a 1e-12 relative grace at the cutoff, so a
 # ladder with t = 0.2, R = 1 has five rungs even though float(0.2) > 1/5.
@@ -227,14 +228,6 @@ def _weight_derivatives(t: float, length: float) -> tuple[float, ...]:
             f * w * ((180.0 * v - 120.0 * w2) * w2 - 61.0 * v * v))
 
 
-def _log_tanh(z: float) -> float:
-    """log tanh(z) to a few ulp of its value, also where tanh(z) rounds to 1."""
-    if z < 1.0:
-        return math.log(math.tanh(z))
-    e = math.exp(-2.0 * z)
-    return math.log1p(-2.0 * e / (1.0 + e))
-
-
 def _tail_span(t: float, count: int, head: int, cap: float = math.inf) -> tuple[float, float]:
     """The first and the last tail length, (head + 1) t and count t, each cut at cap."""
     lo, hi = (head + 1) * t, _rung_length(t, count)
@@ -348,12 +341,6 @@ def _ladder_sums(ts: list[float], counts: list[int], head: int = _HEAD, values=N
     return sums
 
 
-def _ladder_sum(t: float, count: int) -> tuple[float, float, float]:
-    """(value, remainder, roundoff) of the ladder engine at g = 1 on one
-    ladder: a block of one."""
-    return _ladder_sums([t], [count])[0]
-
-
 def _assemble(t: float, value: float, size: float, moment: float, underflow: float,
               tail, kernel=None) -> tuple[float, float, float]:
     """(value, remainder, roundoff) of one ladder of ``_ladder_sums``, from
@@ -436,7 +423,7 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
     reach = _rung_length(t, count)
     if count > 0 and reach > r * (1.0 + 1e-12) + t * 1e-9:
         raise DomainError(f"ladder reaches {reach!r}, beyond radius {r!r}")
-    value, remainder, roundoff = _ladder_sum(t, count)
+    value, remainder, roundoff = _ladder_sums([t], [count])[0]
     _require_finite_scale(mult, value)
     return CertifiedValue(*_criterion(mult, value, remainder, roundoff))
 

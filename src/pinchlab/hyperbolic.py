@@ -21,18 +21,15 @@ STANDARD_COLLAR_RADIUS = math.asinh(1.0)
 
 
 def _sinh_half(length: float) -> float:
-    """sinh(length/2), with the series used below 1e-8 so the pinching regime
-    stays free of spurious rounding. Overflow-safe: e^y/2 above y = 350, and
-    inf once that leaves the float range, where math.sinh would raise."""
+    """sinh(length/2): y = length/2 below 1e-8, where the series past y no
+    longer changes a bit, and inf where math.sinh raises past the float range."""
     y = 0.5 * length
-    if y > 350.0:
-        try:
-            return math.exp(y - LOG2)
-        except OverflowError:
-            return math.inf
     if y < 1e-8:
-        return y * (1.0 + y * y / 6.0)
-    return math.sinh(y)
+        return y
+    try:
+        return math.sinh(y)
+    except OverflowError:
+        return math.inf
 
 
 def _acosh1p(x: float) -> float:
@@ -52,15 +49,31 @@ def _log1mexp(x: float) -> float:
     return math.log(-math.expm1(-x))
 
 
+def _log_tanh(z: float) -> float:
+    """log tanh(z) to a few ulp of its value, also where tanh(z) rounds to 1."""
+    if z < 1.0:
+        return math.log(math.tanh(z))
+    e = math.exp(-2.0 * z)
+    return math.log1p(-2.0 * e / (1.0 + e))
+
+
+def _exp_fsum(terms) -> float:
+    """exp of the exact sum of ``terms``, as exp(hi) (1 + lo) with hi their
+    rounded sum and lo the part it rounded off; inf past the float range."""
+    hi = math.fsum(terms)
+    lo = math.fsum([*terms, -hi])
+    try:
+        return math.exp(hi) * (1.0 + lo)
+    except OverflowError:
+        return math.inf
+
+
 def _collar(length: float) -> float:
-    """arcsinh(1/sinh(l/2)) for a valid length: log(4/l) below the normal
-    range, where 1/sinh(l/2) overflows, and 2 e^(-l/2) past l = 1400, where
-    it underflows."""
+    """arcsinh(1/sinh(l/2)) = -log tanh(l/4) for a valid length; log(4/l)
+    below the normal range, where l/4 need not be a float."""
     if length < _NORMAL_MIN:
         return 2.0 * LOG2 - math.log(length)
-    if length > 1400.0:
-        return math.exp(LOG2 - 0.5 * length)
-    return math.asinh(1.0 / _sinh_half(length))
+    return -_log_tanh(0.25 * length)
 
 
 def length_from_trace(abs_trace: float) -> float:
@@ -96,10 +109,11 @@ def collar_width_at_radius(length: float, radius: float) -> float:
     if x < math.inf:
         return math.asinh(x)
     # log x from the exact R - l/2 and two logs that are small wherever x is
-    log_x = math.fsum((r, -0.5 * l, _log1mexp(2.0 * r), -_log1mexp(l)))
+    terms = (r, -0.5 * l, _log1mexp(2.0 * r), -_log1mexp(l))
+    log_x = math.fsum(terms)
     if log_x > 20.0:
         return LOG2 + log_x  # asinh(x) = log(2x) + O(x^-2)
-    return math.asinh(math.exp(log_x))
+    return math.asinh(_exp_fsum(terms))
 
 
 def cylinder_volume(length: float, radius: float) -> float:
@@ -113,12 +127,8 @@ def cylinder_volume(length: float, radius: float) -> float:
         return 4.0 * math.pi * math.sinh(r) * (2.0 if l < _NORMAL_MIN else l / _sinh_half(l))
     # 4 pi e^(R - l/2) (1 - e^-2R) l/(1 - e^-l), its logarithm summed exactly;
     # l/(1 - e^-l) lies in [1, l]
-    log_v = math.fsum((r, -0.5 * l, math.log(4.0 * math.pi), _log1mexp(2.0 * r),
-                       math.log(l / -math.expm1(-l))))
-    try:
-        return math.exp(log_v)
-    except OverflowError:
-        return math.inf
+    return _exp_fsum((r, -0.5 * l, math.log(4.0 * math.pi), _log1mexp(2.0 * r),
+                      math.log(l / -math.expm1(-l))))
 
 
 def thin_part_upper_bound(simple_count: int, radius: float) -> float:

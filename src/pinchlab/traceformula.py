@@ -32,7 +32,7 @@ from .convergence import (
     _tail_span,
 )
 from .errors import DomainError, _as_real, _read_real, _require_positive
-from .hyperbolic import _acosh1p
+from .hyperbolic import _NORMAL_MIN, _acosh1p
 
 _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, ..., T_254
 _TERMS = (_DEGREE + 1) // 2  # even coefficients, and interpolation nodes in [0, L]
@@ -342,11 +342,14 @@ def transform_profile(phi: TestFunction) -> TransformProfile:
     cosine integral of that series by a 384-point Gauss-Legendre rule on
     the support, one route for every r. A kernel past the float range, at
     its coefficients or at the nodes of that rule, raises DomainError that
-    names phi(0), the amplitude of a bump times 1/e.
+    names phi(0), the amplitude of a bump times 1/e. A support below the
+    normal range, where the nodes are subnormal, raises DomainError too.
     """
     if not isinstance(phi, TestFunction):
         raise DomainError(f"phi must be a TestFunction, got {phi!r}")
     S = phi.support_bound
+    if S < _NORMAL_MIN:
+        raise DomainError(f"support {S!r} is below the normal float range, {_NORMAL_MIN!r}")
     L = _acosh1p(0.5 * S)
     beta = L * _NODES
     v = 4.0 * np.sinh(0.5 * beta) ** 2
@@ -484,8 +487,7 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
         x, wq = _gauss_legendre(_GEO_GAUSS)
         nodes = lo[:, None] + (0.5 * (hi - lo))[:, None] * (x + 1.0)
         points = np.concatenate([points, nodes.ravel()])
-    # a block with no rung inside the support skips the call
-    values = profile.g(points) if points.size else points
+    values = profile.g(points)
     kernels = [None] * len(ladders)
     if tailed:
         g0 = profile._g0

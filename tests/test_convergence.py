@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from pinchlab import (
     transform_profile,
     validity_check,
 )
-from pinchlab.convergence import _EPS, _HEAD, _ladder_sum, _rung_length, _weight_derivatives
+from pinchlab.convergence import _EPS, _HEAD, _ladder_sums, _rung_length, _weight_derivatives
 
 mp.mp.dps = 50
 
@@ -262,7 +263,7 @@ def test_ladder_engine_at_unit_kernel_is_the_criterion_sum(t, r):
     # and the two radius parts make up plancherel_sum's radius bit for bit
     ladder = pinch_ladder(t, r, 6)
     assert ladder.count > _HEAD
-    value, remainder, roundoff = _ladder_sum(t, ladder.count)
+    value, remainder, roundoff = _ladder_sums([t], [ladder.count])[0]
     assert remainder == abs(_weight_derivatives(t, (_HEAD + 1) * t)[5]) / 15120
     val = plancherel_sum(ladder, r)
     assert float(val) == 6 * value
@@ -352,15 +353,17 @@ def test_sandwich_brackets_exact_sum():
 
 
 @pytest.mark.parametrize("t,r", [(1e-300, 1e300), (1e-300, 1e100), (1e-200, 1e300),
-                                 (1e-20, 1e300), (0.1, 1.0), (1e-300, 1.0)])
+                                 (1e-20, 1e300), (0.1, 1.0), (1e-300, 1.0), (1e-3, 1200.0),
+                                 (1e-3, 1400.0)])
 def test_sandwich_against_mpmath(t, r):
     # r/t overflows at the first four points, where log(r/t) read inf
     n = 7
     pairs = surface_data(n).cusps // 2
     lower, upper = sandwich_bounds(n, t, r)
     tt, rr = mp.mpf(t), mp.mpf(r)
-    assert upper == pytest.approx(float(2 * pairs * (mp.log(rr / tt) + 1)), rel=1e-15)
-    assert lower == pytest.approx(float(rr / mp.sinh(rr / 2) * pairs * -mp.log(tt)), rel=1e-14)
+    assert upper == pytest.approx(float(2 * pairs * (mp.log(rr / tt) + 1)), rel=1e-15, abs=0)
+    assert lower == pytest.approx(float(rr / mp.sinh(rr / 2) * pairs * -mp.log(tt)), rel=1e-14,
+                                  abs=0)
 
 
 def test_sandwich_domain():
@@ -468,8 +471,8 @@ def test_classify_schedule_rows_are_plancherel_sums(radius, j_max):
 
 # ---------------------------------------------------------------- extremes
 
-GRID_SUPPORTS = [1e-300, 1e-200, 1e-120, 1e-20, 1.0, 8.0, 1e4, 1e38, 2e40, 1e41, 1e155, 1e300,
-                 1.7e308]
+GRID_SUPPORTS = [5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-120, 1e-20,
+                 1.0, 8.0, 1e4, 1e38, 2e40, 1e41, 1e155, 1e300, 1.7e308]
 
 
 def _outcome(call, encloses):
@@ -492,15 +495,16 @@ def _termwise_side(profile, ladder):
     summed term by term by math.fsum over its rungs."""
     t = ladder.pinch_length
     u = np.array([_rung_length(t, k) for k in range(1, ladder.count + 1)])
-    terms = t * profile.g(u) / (2.0 * np.sinh(0.5 * u))
+    # t/(2 sinh(u/2)) first: t g(u) is subnormal below S = 1e-306 or so
+    terms = t / (2.0 * np.sinh(0.5 * u)) * profile.g(u)
     return ladder.multiplicity * math.fsum(terms.tolist())
 
 
 def test_extremes_enclose_or_raise_typed_errors():
     # t down to 1e-300, radii up to 1e300, multiplicities past 2^63 and the
-    # float range, supports from 1e-300 to the float range, schedule levels
-    # past the float range, and text and truth values where h reads reals:
-    # each call encloses its reference or raises a PinchlabError
+    # float range, supports from the smallest float to the float range,
+    # schedule levels past the float range, and text and truth values where h
+    # reads reals: each call encloses its reference or raises a PinchlabError
     outcomes = {}
     for t in (1e-300, 1e-3, 0.5):
         for r in (1.0, 1e300):
@@ -540,6 +544,8 @@ def test_extremes_enclose_or_raise_typed_errors():
         outcomes["h_batch", repr(bad)] = _outcome(lambda: h_batch(bad), lambda v: False)
     assert {key: got for key, got in outcomes.items() if got not in ("value", "typed")} == {}
     # the true values are finite there, so a refusal would be no answer
-    assert all(outcomes["geometric", S, n] == "value" for S in GRID_SUPPORTS if S <= 1e-120
-               for n in (10, 2000))
+    assert all(outcomes["geometric", S, n] == "value" for S in GRID_SUPPORTS
+               if sys.float_info.min <= S <= 1e-120 for n in (10, 2000))
+    # below the normal range the kernel's nodes are subnormal
+    assert all(outcomes["profile", S] == "typed" for S in (5e-324, 1e-323, 1e-310))
     assert all(outcomes["profile", S] == "value" for S in GRID_SUPPORTS if S >= 1e155)

@@ -192,7 +192,7 @@ COUNTS = [1, 3, 2**63 + 1, 10**308, 10**400]
 
 def grid_misses(fn, reference, args):
     """The arguments where fn misses its 50-digit reference: by more than
-    1e-13 relative, or four of the smallest floats for a value below the
+    1e-15 relative, or four of the smallest floats for a value below the
     normal range; a value past the float range must be inf."""
     misses = []
     for arg in args:
@@ -201,7 +201,7 @@ def grid_misses(fn, reference, args):
         if ref > sys.float_info.max:
             ok = got == math.inf
         else:
-            ok = abs(mp.mpf(got) - ref) <= max(1e-13 * ref, 4 * math.ulp(0.0))
+            ok = abs(mp.mpf(got) - ref) <= max(1e-15 * ref, 4 * math.ulp(0.0))
         if not ok:
             misses.append((arg, got, mp.nstr(ref, 17)))
     return misses
