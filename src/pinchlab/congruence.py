@@ -1,8 +1,9 @@
 """Exact arithmetic for principal congruence subgroups of SL(2, Z).
 
-Index, genus and cusp count of the level-N surface are computed in exact
-integer arithmetic; floating point enters only through the systole length
-and the area.
+Index, genus and cusp count of the level-N surface, and of the compacted
+surface that pinches each pair of cusps and doubles (genus g + cusps/2, the
+same area), are computed in exact integer arithmetic; floating point enters
+only through the systole length and the area.
 
 Every level-N matrix has trace tr = 2 (mod N^2): with a = 1 + Nx and
 d = 1 + Ny, ad - 1 = N(x + y) + N^2 xy, and N^2 divides ad - 1 = bc exactly
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InternalInvariantViolation, _as_int, _as_level
+from .errors import DomainError, _as_int, _as_level, _validate_pinch
 from .hyperbolic import length_from_trace
 
 
@@ -77,33 +78,20 @@ def index_d(level) -> int:
     value = n**3
     for p in _distinct_primes(n):
         # p^3 divides N^3, and the earlier primes' factors are prime to p
-        value, rest = divmod(value, p * p)
-        if rest:
-            raise InternalInvariantViolation(f"index of level {n} is not integral")
-        value *= p * p - 1
+        value = value // (p * p) * (p * p - 1)
     return value
 
 
 @lru_cache(maxsize=None)
 def _surface_data_cached(n: int) -> CongruenceSurfaceData:
     d = index_d(n)
-    genus, rest = divmod(d * (n - 6), 24 * n)
-    if rest:
-        raise InternalInvariantViolation(
-            f"genus of level {n} is not integral: 1 + {d * (n - 6)}/{24 * n}")
-    cusps, rest = divmod(d, 2 * n)
-    if rest:
-        raise InternalInvariantViolation(f"cusp count of level {n} is not integral: {d}/{2 * n}")
-    if cusps % 2 != 0:
-        raise InternalInvariantViolation(f"cusp count of level {n} is odd: {cusps}")
     return CongruenceSurfaceData(
         level=n,
         index_d=d,
-        genus=1 + genus,
-        cusps=cusps,
+        genus=1 + d * (n - 6) // (24 * n),
+        cusps=d // (2 * n),
         systole=length_from_trace(n * n - 2),
-        # 6 divides d, so d/6 is an exact integer and this rounds identically
-        # to the compacted-surface volume 4*pi*(genus' - 1)
+        # 6 divides d, so d/6 is exact; the compacted surface keeps this volume
         area=math.pi * (d / 6.0),
     )
 
@@ -111,6 +99,32 @@ def _surface_data_cached(n: int) -> CongruenceSurfaceData:
 def surface_data(level) -> CongruenceSurfaceData:
     """Complete exact record for level N >= 3 (torsion-free levels only)."""
     return _surface_data_cached(_as_level(level))
+
+
+@dataclass(frozen=True)
+class CompactedSurface:
+    """The closed surface obtained by trading every cusp for a pinched geodesic."""
+
+    level: int
+    pinch_length: float
+    pinched_count: int
+    genus: int
+    volume: float
+
+
+def compacted_surface(level, pinch_length) -> CompactedSurface:
+    """Record of the closed surface with cusps of level N traded for paired
+    geodesics of length t: pinched_count = cusps/2, genus gains one handle per
+    pair, and the volume matches the cusped area pi*d/6 exactly."""
+    t = _validate_pinch(pinch_length)
+    return _compacted(surface_data(level), t)
+
+
+def _compacted(sd, t: float) -> CompactedSurface:
+    """compacted_surface from the level's surface data and a valid t."""
+    pairs = sd.cusps // 2
+    return CompactedSurface(level=sd.level, pinch_length=t, pinched_count=pairs,
+                            genus=sd.genus + pairs, volume=sd.area)
 
 
 def is_in_gamma(m: IntegerMatrix2, level) -> bool:

@@ -19,16 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .certified import CertifiedValue
-from .congruence import surface_data
-from .errors import (DomainError, InternalInvariantViolation, ValidityError, _as_int,
-                     _as_level, _as_real, _require_positive)
+from .congruence import _compacted, surface_data
+from .errors import (DomainError, ValidityError, _as_int, _as_level, _as_real,
+                     _require_positive, _validate_pinch)
 from .hyperbolic import (_log_tanh, _sinh_half, crossing_length_bound, distortion_bound,
                          length_from_trace)
 
 # Decimal-intended floats get a 1e-12 relative grace at the cutoff, so a
 # ladder with t = 0.2, R = 1 has five rungs even though float(0.2) > 1/5.
 _CUTOFF_GRACE = Fraction(10**12 + 1, 10**12)
-_MIN_PINCH = 1e-300  # near the subnormal range t loses digits; a rule has likely underflowed
 _HEAD = 128  # rungs summed term by term in front of the Euler-Maclaurin tail
 _HEAD_RUNGS = np.arange(1.0, 1025.0)  # rung numbers for a head of up to 1024 rungs
 _BLOCK = 1 << 14  # points per block of the ladder engine, which bounds its temporaries
@@ -45,27 +44,6 @@ def _fsum(terms) -> float:
         return math.fsum(terms)
     except (OverflowError, ValueError):
         return math.nan
-
-
-def _validate_pinch(t) -> float:
-    t = _require_positive("pinch length", t)
-    if t < _MIN_PINCH:
-        raise DomainError(
-            f"pinch length {t!r} is below the representable floor {_MIN_PINCH}; "
-            "a schedule rule has likely underflowed"
-        )
-    return t
-
-
-@dataclass(frozen=True)
-class CompactedSurface:
-    """The closed surface obtained by trading every cusp for a pinched geodesic."""
-
-    level: int
-    pinch_length: float
-    pinched_count: int
-    genus: int
-    volume: float
 
 
 def _ladder_count(t: float, radius: float) -> int:
@@ -109,32 +87,6 @@ class PinchLadder:
             f"PinchLadder(pinch_length={self.pinch_length!r}, radius={self.radius!r}, "
             f"multiplicity={self.multiplicity}, count={self.count})"
         )
-
-
-def compacted_surface(level, pinch_length) -> CompactedSurface:
-    """Record of the closed surface with cusps of level N traded for paired
-    geodesics of length t: pinched_count = cusps/2, genus gains one handle per
-    pair, and the volume matches the cusped area pi*d/6 exactly."""
-    t = _validate_pinch(pinch_length)
-    return _compacted(surface_data(level), t)
-
-
-def _compacted(sd, t: float) -> CompactedSurface:
-    """compacted_surface from the level's surface data and a valid t."""
-    pairs = sd.cusps // 2
-    genus = sd.genus + pairs
-    # Euler characteristic of the gluing: index = 24*(genus - 1), exactly
-    if sd.index_d != 24 * (genus - 1):
-        raise InternalInvariantViolation(
-            f"volume bookkeeping failed at level {sd.level}: d = {sd.index_d}, genus = {genus}"
-        )
-    return CompactedSurface(
-        level=sd.level,
-        pinch_length=t,
-        pinched_count=pairs,
-        genus=genus,
-        volume=math.pi * (sd.index_d / 6.0),
-    )
 
 
 def other_geodesic_floor(level, pinch_length) -> float:

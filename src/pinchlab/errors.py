@@ -4,7 +4,8 @@ Every public call checks its arguments through the validators here:
 ``_as_real`` for finite reals (text, truth values, integers past the float
 range and what float() cannot read refused), on ``_read_real``, which reads a
 real but lets infinities and NaN through; ``_require_positive`` for positive
-ones (lengths, radii, supports), ``_as_int`` for integers (bools, NaN and
+ones (lengths, radii, supports), ``_validate_pinch`` for pinch lengths
+(positive and at least _MIN_PINCH), ``_as_int`` for integers (bools, NaN and
 infinities refused) and ``_as_level`` for torsion-free levels N >= 3. Rules
 that hold for one call only stay with that call.
 """
@@ -28,10 +29,7 @@ class ValidityError(PinchlabError):
     """A short-spectrum request outside the radius where the ladder is complete."""
 
 
-class InternalInvariantViolation(PinchlabError):
-    """An exact-arithmetic identity failed; indicates a bug, never user input."""
-
-
+_MIN_PINCH = 1e-300  # near the subnormal range t loses digits; a rule has likely underflowed
 _TEXT = (str, bytes, bytearray, memoryview, bool)  # float() reads "2" and b"2" as 2.0, True as 1.0
 
 
@@ -62,6 +60,16 @@ def _require_positive(name: str, x) -> float:
     if not x > 0.0:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
     return x
+
+
+def _validate_pinch(t) -> float:
+    t = _require_positive("pinch length", t)
+    if t < _MIN_PINCH:
+        raise DomainError(
+            f"pinch length {t!r} is below the representable floor {_MIN_PINCH}; "
+            "a schedule rule has likely underflowed"
+        )
+    return t
 
 
 def _as_int(name: str, x) -> int:

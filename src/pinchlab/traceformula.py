@@ -73,11 +73,14 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Smooth profile phi on [0, infinity) vanishing at and beyond support_bound."""
+    """Smooth profile phi on [0, infinity) vanishing at and beyond support_bound.
+
+    The evaluator maps a float array to a finite float array of the same
+    shape: the kernel is built from one call on a 2-d array."""
 
     __test__ = False  # "test function" is analytic vocabulary; keep pytest away
 
-    evaluator: Callable[[float], float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     support_bound: float
 
     def __post_init__(self) -> None:
@@ -87,9 +90,14 @@ class TestFunction:
         for u in (s + i * (s / 8.0) for i in range(9)):
             if self.evaluator(u) != 0.0:
                 raise DomainError(f"evaluator({u}) != 0 beyond the stated support {s}")
-        for u in np.linspace(0.0, s, 33):
-            if not math.isfinite(self.evaluator(float(u))):
-                raise DomainError(f"evaluator({u}) is not finite inside the support")
+        grid = np.linspace(0.0, s, 33)
+        try:
+            values = np.asarray(self.evaluator(grid), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"the evaluator must take a float array: {exc}") from None
+        if values.shape != grid.shape or not np.isfinite(values).all():
+            raise DomainError(f"the evaluator must map a float array of shape {grid.shape} "
+                              f"inside the support to a finite one, got {values!r}")
 
     def __call__(self, u):
         return self.evaluator(u)

@@ -48,7 +48,17 @@ def test_import_loads_no_scipy():
 
 
 def test_exact_layer_loads_no_numpy():
-    assert _loaded("import pinchlab; pinchlab.surface_data(7)", "numpy") == []
+    # every export of the exact layer, read from the export table, and a call of each kind
+    code = ("import pinchlab; "
+            "[getattr(pinchlab, n) for n, m in pinchlab._EXPORTS.items() "
+            "if m in ('congruence', 'hyperbolic', 'errors', 'certified')]; "
+            "pinchlab.surface_data(7); pinchlab.compacted_surface(7, 0.01)")
+    assert _loaded(code, "numpy") == []
+
+
+def test_survey_demo_loads_no_numpy():
+    code = "import runpy; runpy.run_path('demos/survey_congruence_surfaces.py')"
+    assert _loaded(code, "numpy") == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,7 +37,17 @@ one ulp wider, when the derivative series of the kernel were kept in
 x = u/L and scaled by (t/L)^i at the tail ends, instead of being divided by
 L six times and scaled by t^i (the division overflowed at supports below
 about 1e-110). The bounds on the derivatives round differently; every value
-and every other radius kept its bits."""
+and every other radius kept its bits.
+
+The bits were recorded on one code path, and hold only on it: numpy's
+X86_V4 (AVX-512) loops, which ``np.show_runtime()`` lists as found with
+X86_V3, AVX512_ICL and AVX512_SPR, and numpy's bundled OpenBLAS on its
+SkylakeX kernel. With ``NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR``
+numpy takes its AVX2 loops, and 16 of the 22 pins here fail: every
+``schedule`` CSV but superexponential at R = 1, ``plancherel_sum``, the
+three ``vanishing_series``, both ``geometric_side`` and the ``trace-check``
+CSV. Every other test of the suite, enclosures, oracles and acceptance
+checks among them, passes there."""
 
 import hashlib
 import json

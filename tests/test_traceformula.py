@@ -138,10 +138,26 @@ def test_bump_amplitude_and_support():
 
 
 def test_test_function_support_enforced():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="beyond the stated support"):
         TestFunction(evaluator=lambda u: 1.0, support_bound=1.0)
-    with pytest.raises(DomainError):
+    # scalar-only: it cannot take the array the kernel is built from
+    with pytest.raises(DomainError, match="must take a float array"):
         TestFunction(evaluator=lambda u: math.inf if u == 0.0 else 0.0, support_bound=1.0)
+    with pytest.raises(DomainError, match="to a finite one"):
+        TestFunction(evaluator=lambda u: np.where(np.asarray(u) == 0.0, math.inf, 0.0),
+                     support_bound=1.0)
+
+
+@pytest.mark.parametrize("evaluator", [
+    lambda u: math.exp(-1 / (1 - u * u)) if u < 1 else 0.0,
+    lambda u: 0.0,
+    lambda u: math.inf if u == 0.0 else 0.0,
+], ids=["bump", "zero", "inf-at-0"])
+def test_test_function_refuses_scalar_only_evaluators(evaluator):
+    # each is a fine function of a float, but the kernel calls phi once on
+    # a 2-d array; refused where the test function is made, not in the build
+    with pytest.raises(DomainError, match="float array"):
+        TestFunction(evaluator=evaluator, support_bound=1.0)
 
 
 # ---------------------------------------------------------------- g
