@@ -3,10 +3,11 @@ and the trace-formula identity at desk scale.
 
 ``import pinchlab`` loads no submodule. Each export loads its module when it
 is first touched (PEP 562). The exact layer (``congruence``, ``hyperbolic``,
-``errors``, ``certified``) needs only the standard library and never loads
-numpy, so ``surface_data``, ``compacted_surface`` and the ``survey`` and
-``systole`` subcommands never pay the numpy import; ``convergence`` and
-``traceformula`` load it.
+``errors``, ``certified``) and the criterion module ``convergence`` need only
+the standard library and never load numpy, so ``surface_data``,
+``compacted_surface``, ``plancherel_sum``, ``classify_schedule`` and the
+``survey``, ``systole`` and ``schedule`` subcommands never pay the numpy
+import; only the kernel module ``traceformula`` (and ``trace-check``) loads it.
 """
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ when there are any.
 
 Each subcommand's entry in ``_HANDLERS`` names its handler and the module
 that handler imports: ``congruence`` for ``survey`` and ``systole``, which
-run on the exact layer alone and never import numpy, ``convergence`` for
-``schedule`` and ``traceformula`` for ``trace-check``. ``main`` imports that
+run on the exact layer alone, ``convergence`` for ``schedule``, whose
+criterion sums are pure Python, and ``traceformula`` for ``trace-check``.
+Only ``trace-check`` imports numpy. ``main`` imports that
 module before it starts the clock, so meta.wall_clock_s is the handler's
 time without the import.
 """

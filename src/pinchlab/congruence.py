@@ -15,6 +15,7 @@ entries up to B >= N^2 is N^2 - 2, and the systole is 2 arccosh((N^2 - 2)/2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,23 +54,123 @@ class CongruenceSurfaceData:
     area: float
 
 
+_TRIAL_LIMIT = 1 << 12  # trial division covers every factor up to here
+_TRIAL_SQUARE = _TRIAL_LIMIT * _TRIAL_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on _MR_BASES is exact below this, the least strong pseudoprime to
+# all 13 (Sorenson and Webster, Math. Comp. 2017); without 41 the bound is 3.2e23
+_MR_EXACT = 3317044064679887385961981
+_RHO_BUDGET = 1 << 20  # Pollard-Brent steps one factorization may take
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases 2..41 for an odd n > 41, exact below
+    _MR_EXACT."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int, budget: list[int]) -> int | None:
+    """A proper factor of the odd composite n by Pollard's rho in Brent's
+    form (BIT 1980), iterating x^2 + c from 2 with c = 1, 2, ...; the steps
+    are taken from ``budget[0]``, and None comes back once it is spent."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            budget[0] -= 2 * r
+            if budget[0] < 0:
+                return None
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            while True:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+                if g > 1:
+                    break
+        if g != n:
+            return g
+
+
+def _power_root(m: int) -> int | None:
+    """r where m = r^k for some k >= 2, else None, for m without factors up to
+    _TRIAL_LIMIT = 2^12, so that k stays below its bit length / 12. Rho
+    would need about sqrt(r) steps to split a power of a large prime r."""
+    for k in range(2, m.bit_length() // 12 + 1):
+        r = 1 << -(-m.bit_length() // k)  # above the root; Newton descends from here
+        while True:
+            s = ((k - 1) * r + m // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r**k == m:
+            return r
+    return None
+
+
 def _distinct_primes(n: int) -> list[int]:
-    primes = []
-    d = 2
-    while d * d <= n:
+    """The distinct primes dividing n >= 1, ascending: trial division up to
+    _TRIAL_LIMIT, then Miller-Rabin and Pollard-Brent on what is left, so a
+    level of any size costs a bounded number of steps. Raises DomainError
+    naming n when _RHO_BUDGET runs out, or when a cofactor at or past
+    _MR_EXACT passes Miller-Rabin, which proves no primality there."""
+    level, primes, d = n, [], 2
+    stop = n if n < _TRIAL_SQUARE else _TRIAL_SQUARE  # divisors d with d^2 <= stop
+    while d * d <= stop:
         if n % d == 0:
             primes.append(d)
             while n % d == 0:
                 n //= d
+            stop = n if n < _TRIAL_SQUARE else _TRIAL_SQUARE
         d += 1 if d == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes
+    if n < _TRIAL_SQUARE:  # every d up to sqrt(n) was tried: n is 1 or a prime
+        if n > 1:
+            primes.append(n)
+        return primes
+    budget, found, stack = [_RHO_BUDGET], set(), [n]
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            if m >= _MR_EXACT:
+                raise DomainError(f"cannot factor level {level}: a cofactor of "
+                                  f"{len(str(m))} digits is only a probable prime")
+            found.add(m)
+            continue
+        root = _power_root(m)
+        f = root if root is not None else _rho(m, budget)
+        if f is None:
+            raise DomainError(f"cannot factor level {level} within {_RHO_BUDGET} "
+                              "Pollard-Brent steps")
+        stack += [f, m // f]
+    return primes + sorted(found)
 
 
 def index_d(level) -> int:
     """Index of the level-N subgroup: 12 at N = 2, else N^3 * prod(1 - 1/p^2)
-    over the distinct primes dividing N, evaluated exactly."""
+    over the distinct primes dividing N, evaluated exactly. A level that
+    ``_distinct_primes`` cannot factor in its budget raises DomainError."""
     n = _as_int("level", level)
     if n < 2:
         raise DomainError(f"level must be >= 2, got {n}")
@@ -123,8 +224,9 @@ def compacted_surface(level, pinch_length) -> CompactedSurface:
 def _compacted(sd, t: float) -> CompactedSurface:
     """compacted_surface from the level's surface data and a valid t."""
     pairs = sd.cusps // 2
-    return CompactedSurface(level=sd.level, pinch_length=t, pinched_count=pairs,
-                            genus=sd.genus + pairs, volume=sd.area)
+    # level, pinch_length, pinched_count, genus, volume, by position: the
+    # schedule passes make one per row
+    return CompactedSurface(sd.level, t, pairs, sd.genus + pairs, sd.area)
 
 
 def is_in_gamma(m: IntegerMatrix2, level) -> bool:

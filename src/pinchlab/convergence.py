@@ -9,52 +9,48 @@ sums, and classifies pinch schedules by the trend of the criteria.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
+from operator import mul
 
 from .certified import CertifiedValue
-from .congruence import _compacted, surface_data
+from .congruence import _compacted, _surface_data_cached, surface_data
 from .errors import (DomainError, ValidityError, _as_int, _as_level, _as_real,
                      _require_positive, _validate_pinch)
-from .hyperbolic import (_log_tanh, _sinh_half, crossing_length_bound, distortion_bound,
-                         length_from_trace)
+from .hyperbolic import _collar, _distortion, _log_tanh, _sinh_half, length_from_trace
 
 # Decimal-intended floats get a 1e-12 relative grace at the cutoff, so a
 # ladder with t = 0.2, R = 1 has five rungs even though float(0.2) > 1/5.
-_CUTOFF_GRACE = Fraction(10**12 + 1, 10**12)
-_HEAD = 128  # rungs summed term by term in front of the Euler-Maclaurin tail
-_HEAD_RUNGS = np.arange(1.0, 1025.0)  # rung numbers for a head of up to 1024 rungs
-_BLOCK = 1 << 14  # points per block of the ladder engine, which bounds its temporaries
+_GRACE_P, _GRACE_Q = 10**12 + 1, 10**12
+_HEAD = 32  # rungs of a criterion sum summed term by term in front of its Euler-Maclaurin tail
+_WHOLE = 128  # criterion ladders of up to this many rungs are summed whole, with no tail
+_RUNGS = [float(k) for k in range(1, _WHOLE + 1)]  # their rung numbers
+_ORDER = 10  # Euler-Maclaurin order of a criterion tail; a kernel tail takes 6
+_EULER_GAMMA = 0.5772156649015329
+# per tail order 2m = 6 and 10: the Euler-Maclaurin end terms, each the
+# order j = 2s - 1 of a derivative f^(j) and (2s)!/B_2s, which divides it; and
+# (2m)!/(2 |B_2m|), which divides the integral of |f^(2m)| in the remainder
+# bound (DLMF 2.10.2)
+_EM = {6: (((1, 12.0), (3, -720.0)), 15120.0),
+       10: (((1, 12.0), (3, -720.0), (5, 30240.0), (7, -1209600.0)), 23950080.0)}
 _EPS = sys.float_info.epsilon
+_EXACT_INT = 1 << 53  # integers below this convert to float exactly
 _NORMAL_Y = 708.0  # e^-y is a normal float up to here, subnormal or 0 past it
 _TINY = math.ulp(0.0)  # the smallest positive float
-
-
-def _fsum(terms) -> float:
-    """math.fsum, but NaN where the sum overflows the float range or meets
-    infinities of both signs, so that the caller's check of its result can
-    name the cause."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        return math.nan
 
 
 def _ladder_count(t: float, radius: float) -> int:
     """floor(radius * (1 + 1e-12) / t), in exact integer arithmetic."""
     rp, rq = radius.as_integer_ratio()
     tp, tq = t.as_integer_ratio()
-    return rp * tq * _CUTOFF_GRACE.numerator // (rq * tp * _CUTOFF_GRACE.denominator)
+    return rp * tq * _GRACE_P // (rq * tp * _GRACE_Q)
 
 
 def _rung_length(t: float, k: int) -> float:
     """k*t correctly rounded, also for counts too large to convert to float."""
+    if k < _EXACT_INT:
+        return k * t  # k converts exactly, and the product rounds once
     p, q = t.as_integer_ratio()
     return k * p / q
 
@@ -104,8 +100,10 @@ def other_geodesic_floor(level, pinch_length) -> float:
 
 
 def _geodesic_floor(systole: float, t: float) -> float:
-    """other_geodesic_floor from the level's systole and a valid t < 1/2."""
-    return min(crossing_length_bound(t), 0.5 * systole / distortion_bound(t))
+    """other_geodesic_floor from the level's systole and a valid t < 1/2: the
+    crossing bound 2 arcsinh(1/sinh(t/2)) and the distorted half systole,
+    through the cores of crossing_length_bound and distortion_bound."""
+    return min(2.0 * _collar(t), 0.5 * systole / _distortion(t))
 
 
 def validity_check(level, pinch_length, radius) -> bool:
@@ -153,31 +151,53 @@ def pinch_ladder(pinch_length, radius, multiplicity) -> PinchLadder:
     return PinchLadder(pinch_length, radius, multiplicity)
 
 
-def _rung_weights(t, k: np.ndarray) -> np.ndarray:
-    """t/sinh(k t/2) over an array of rungs k, written as 2t e^-y/(1 - e^-2y)
-    with y = k t/2, so that long rungs underflow to 0 and nothing overflows;
-    t is a float, or an array of the t of each rung."""
-    y = k * (-0.5 * t)
-    return t * (np.exp(y) / np.expm1(y + y)) * -2.0
+def _sech_tables(order: int) -> tuple[tuple[float, ...], ...]:
+    """The coefficients of D_0, ..., D_(order-1), highest power first, for
+    ``_weight_derivatives``.
+
+    With w = (t/2) coth(x t/2) the derivatives of f(x) = t/sinh(x t/2) are
+    f^(j) = f P_j(w), P_0 = 1 and P_(j+1) = -w P_j + (t^2/4 - w^2) P_j'. In
+    s = sech^2(x t/2) = 1 - (t/2w)^2 this reads P_j = (-w)^j D_j(s), with
+    D_0 = 1 and D_(j+1) = (1 + j s) D_j + 2 s (1 - s) D_j', whose integer
+    coefficients are all positive."""
+    tables, d = [], [1]
+    for j in range(order):
+        tables.append(tuple(float(c) for c in reversed(d)))
+        nxt = [0] * (len(d) + 1)
+        for m, c in enumerate(d):
+            nxt[m] += c + 2 * m * c
+            nxt[m + 1] += j * c - 2 * m * c
+        d = nxt if nxt[-1] else nxt[:-1]
+    return tuple(tables)
 
 
-def _weight_derivatives(t: float, length: float) -> tuple[float, ...]:
-    """f, f', ..., f^(5) of the rung weight f(x) = t/sinh(x t/2) at x = length/t.
+_SECH_TABLES = _sech_tables(_ORDER)
 
-    With w = (t/2) coth(x t/2) and v = t^2/4 they are f times 1, -w,
-    2w^2 - v, w (5v - 6w^2), (24w^2 - 28v) w^2 + 5v^2 and
-    w ((180v - 120w^2) w^2 - 61v^2); f is completely monotone, so their
-    signs alternate.
-    """
-    f = t / _sinh_half(length)
+
+def _weight_derivatives(t: float, length: float, stop: int, step: int) -> list:
+    """The derivatives f^(j), j < stop <= _ORDER, of the rung weight
+    f(x) = t/sinh(x t/2) at x = length/t, a list indexed by j: f itself and
+    j = 1, 1 + step, 1 + 2 step, ..., each f (-w)^j D_j(s) by Horner's rule
+    on ``_SECH_TABLES``, and None at the j that step skips. The terms of D_j
+    are positive, so nothing cancels; f is completely monotone, so the signs
+    alternate."""
+    sh = _sinh_half(length)
+    f = t / sh
     if f == 0.0:
-        return (0.0,) * 6
-    w = 0.5 * t / math.tanh(0.5 * length)
-    v = 0.25 * t * t
-    w2 = w * w
-    return (f, -f * w, f * (2.0 * w2 - v), f * w * (5.0 * v - 6.0 * w2),
-            f * ((24.0 * w2 - 28.0 * v) * w2 + 5.0 * v * v),
-            f * w * ((180.0 * v - 120.0 * w2) * w2 - 61.0 * v * v))
+        return [0.0] * stop
+    w = -0.5 * t / math.tanh(0.5 * length)
+    s = 1.0 / (1.0 + sh * sh)  # 0 where sh^2 overflows, and s is below 1e-308
+    out = [None] * stop
+    out[0] = f
+    f *= w
+    up = w if step == 1 else w * w
+    for j in range(1, stop, step):
+        d = 0.0
+        for c in _SECH_TABLES[j]:
+            d = d * s + c
+        out[j] = f * d
+        f *= up
+    return out
 
 
 def _tail_span(t: float, count: int, head: int, cap: float = math.inf) -> tuple[float, float]:
@@ -186,157 +206,129 @@ def _tail_span(t: float, count: int, head: int, cap: float = math.inf) -> tuple[
     return (lo if lo < cap else cap), (hi if hi < cap else cap)
 
 
-def _head_rungs(ts: list[float], heads: list[int]) -> tuple[np.ndarray, object, list[int]]:
-    """The head rungs of a block of ladders, ladder after ladder: the rung
-    numbers k = 1..heads[i] of each, the t of each rung (a float for a block
-    of one, which needs no gathering), and where each ladder's rungs start,
-    with the end of the last one appended."""
-    starts = [0, *itertools.accumulate(heads)]
-    if len(heads) == 1:
-        return _HEAD_RUNGS[: heads[0]], ts[0], starts
-    return np.concatenate([_HEAD_RUNGS[:n] for n in heads]), np.repeat(ts, heads), starts
+def _tail(t: float, count: int, head: int, order: int, step: int,
+          cap: float = math.inf) -> tuple:
+    """(underflow, tail) of a ladder with ``count`` rungs, a head of ``head``
+    and a tail to Euler-Maclaurin ``order``, for ``_assemble``. The tail is
+    (lo, hi, the derivatives of the weight at lo, up to the order's last,
+    and at hi, up to the last end term's, log tanh(lo/4), log tanh(hi/4)),
+    or None when count <= head. g = 1 reads only the odd derivatives
+    (step 2); a kernel's Leibniz rule reads them all (step 1)."""
+    lo, hi = _tail_span(t, count, head, cap)
+    underflow = 0.0
+    if hi > 2.0 * _NORMAL_Y:
+        # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
+        # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
+        # their true and computed sums both lie below 2 (2 + t) e^-y, since
+        # t/(1 - e^-t/2) <= 2 + t; charge twice that, in logs so that it stays
+        # positive where e^-y alone underflows
+        y = max(_NORMAL_Y, 0.5 * t)
+        underflow = math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
+    if count <= head:
+        return underflow, None
+    return underflow, (lo, hi, _weight_derivatives(t, lo, order, step),
+                       _weight_derivatives(t, hi, order - 2, step), _log_tanh(0.25 * lo),
+                       _log_tanh(0.25 * hi))
 
 
-def _blocks(sizes: list[int]) -> list[slice]:
-    """Runs of consecutive ladders for the ladder engine, given the points
-    each ladder brings: a run closes at the ladder that takes its points to
-    _BLOCK or past, and the last run takes what is left."""
-    ends = list(itertools.accumulate(sizes, initial=0))  # points before each ladder
-    blocks, start = [], 0
-    while start < len(sizes):
-        stop = min(bisect.bisect_left(ends, ends[start] + _BLOCK), len(sizes))
-        blocks.append(slice(start, stop))
-        start = stop
-    return blocks
+def _ladder_sum(t: float, count: int) -> tuple[float, float, float]:
+    """The ladder engine at g = 1: the sum of t/sinh(k t/2) over
+    k = 1..count, as (value, remainder, roundoff).
+
+    A ladder of up to _WHOLE = 128 rungs is summed whole, term by term; a
+    longer one in a head of its first _HEAD = 32 rungs. The head goes by
+    math.fsum, which rounds correctly, each weight formed as
+    2t e^-y/(1 - e^-2y) with y = k t/2, so that long rungs underflow to 0 and
+    nothing overflows. The rest, k = 33..count, follow ``_assemble`` to
+    order 10: the closed-form integral 2 log tanh(x t/4), f/2 and the f',
+    f''', f^(5) and f^(7) end terms at a = 33 and b = count, and the
+    remainder bound |f^(9)(a)|/23950080, about 0.03/a^10 = 2e-17 at small t.
+    Pure Python, so the criterion loads no numpy.
+    """
+    n = count if count <= _WHOLE else _HEAD
+    exp, expm1, rungs, c, d = math.exp, math.expm1, _RUNGS[:n], -0.5 * t, -t
+    # -y = k c, and -2y = k d rounds as 2 k c would; past t = 9e307, where
+    # -2t overflows, every e^-y is 0 and any finite factor gives the 0 weights
+    m = max(-2.0 * t, -sys.float_info.max)
+    weights = [m * (exp(k * c) / expm1(k * d)) for k in rungs]
+    # the terms are finite and positive: fsum cannot fail, and their sum is their size
+    value = math.fsum(weights)
+    return _assemble(t, value, value, sum(map(mul, weights, rungs)),
+                     *_tail(t, count, n, _ORDER, 2))
 
 
-def _ladder_sums(ts: list[float], counts: list[int], head: int = _HEAD, values=None,
-                 kernels=None, cap: float = math.inf) -> list[tuple]:
-    """The ladder engine, over a block of ladders with pinch lengths ``ts``
-    and rung counts ``counts``. For each ladder: the sum of f(k) = g(k t) w(k),
-    w(k) = t/sinh(k t/2), for k = 1..count; its Euler-Maclaurin remainder
-    bound; and its roundoff estimate.
+def _assemble(t: float, value: float, size: float, moment: float, underflow: float,
+              tail, kernel=None) -> tuple[float, float, float]:
+    """(value, remainder, roundoff) of one ladder of the ladder engine: the
+    sum of f(k) = g(k t) w(k), w(k) = t/sinh(k t/2), over k = 1..count, from
+    its head sum ``value``, the sum ``size`` of the magnitudes of its head
+    terms and their sum ``moment`` weighted by k, and the underflow charge.
 
-    The first ``head`` rungs are summed term by term. The rest, k = a..b
-    with a = head + 1 and b = count, follow Euler-Maclaurin to order 6
-    (DLMF 2.10.1): the integral of f, then f/2, -+f'/12 and +-f'''/720 at a
-    and b, each derivative of f formed from those of g and w by Leibniz's
-    rule. For g = 1 the integral is the closed form 2 log tanh(x t/4); any
-    other kernel brings its own. ``cap`` cuts the tail where g vanishes.
+    ``tail`` comes from ``_tail``, or is None when there is no tail. The
+    tail, k = a..b, follows Euler-Maclaurin to the order of its derivative
+    lists (DLMF 2.10.1): the integral of f, f/2 at a and b, and the end
+    terms of the odd derivatives f', f''', ... up to f^(order - 3).
+    ``kernel`` is None for g = 1, whose integral is the closed form
+    2 log tanh(x t/4). Any other kernel, at order 6 only, brings (ends,
+    bounds, integral): (g, t g', t^2 g'', t^3 g''') at a and at b; the bounds
+    t^i G_i, i = 0..6, with G_i a bound on |g^(i)|; and the tail integral of
+    g(u)/sinh(u/2) du with the size of its terms. The derivatives of f come
+    from those of g and w by Leibniz's rule.
 
-    ``values`` is None for g = 1, or g at the head rungs of every ladder,
-    laid out as ``_head_rungs`` lays them. With values, ``kernels`` gives each
-    ladder's (ends, bounds, integral), or None when count <= head:
-    (g, t g', t^2 g'', t^3 g''') at a and at b; the bounds t^i G_i,
-    i = 0..6, with G_i a bound on |g^(i)|; and the tail integral of
-    g(u)/sinh(u/2) du with the size of its terms.
-
-    The head weights of the whole block come from one numpy pass. Each
-    ladder is then summed on its own slice: by math.fsum, which rounds
-    correctly, and by numpy's sums and dot products over the contiguous
-    slice, which round as they do on the ladder alone. The tail is scalar
-    work per ladder. So each ladder's bits do not depend on the block.
-
-    For g = 1 each entry is (value, remainder, roundoff). For any other
-    kernel it is that triple and then the one for g = 1 over the same rungs,
-    head and cap, from the same weights and end derivatives: the geometric
-    side charges its kernel error on that sum. Beside a kernel the g = 1
-    head is summed by numpy's pairwise sum, not by fsum: that sum only
-    scales the kernel charge, itself an estimate.
-
-    The remainder obeys |R_3| <= 2 |B_6|/6! int_a^b |f^(6)| (DLMF 2.10).
-    Leibniz's rule bounds int |f^(6)| by sum_(i <= 6) C(6, i) t^i G_i
-    int_a^b |w^(6-i)|, and since w is completely monotone,
-    int_a^b |w^(j)| <= |w^(j-1)(a)| for j >= 1. So int |f^(6)| is at most
-    sum_(i < 6) C(6, i) t^i G_i |w^(5-i)(a)| + t^6 G_6 int_a^b w, which is
-    |w^(5)(a)| for g = 1. The kernel brings t^i G_i and t^i g^(i) already
-    scaled, so no power of t is formed here, where t may be 1e300.
+    The remainder obeys |R| <= 2 |B_2m|/(2m)! int_a^b |f^(2m)| at order 2m
+    (DLMF 2.10.2). Since w is completely monotone, int_a^b |w^(j)| <=
+    |w^(j-1)(a)| for j >= 1, so for g = 1 the integral is at most
+    |w^(2m-1)(a)|. For a kernel, Leibniz's rule bounds int |f^(6)| by
+    sum_(i < 6) C(6, i) t^i G_i |w^(5-i)(a)| + t^6 G_6 int_a^b w. The kernel
+    brings t^i G_i and t^i g^(i) already scaled, so no power of t is formed
+    here, where t may be 1e300.
 
     The roundoff charges each computed term a few ulp plus the rounding of
     its argument, an ulp of the assembled value, and 8 ulp of the size of
     the terms of a kernel's own integral.
     """
-    k, at, starts = _head_rungs(ts, [min(count, head) for count in counts])
-    weights = _rung_weights(at, k)
-    terms = weights if values is None else weights * values
-    magnitudes = weights if values is None else np.abs(terms)
-    view = memoryview(terms)
-    sums = []
-    for i, (t, count) in enumerate(zip(ts, counts)):
-        a, b = starts[i], starts[i + 1]
-        rungs, w = k[a:b], weights[a:b]
-        lo, hi = _tail_span(t, count, head, cap)
-        underflow = 0.0
-        if hi > 2.0 * _NORMAL_Y:
-            # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
-            # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
-            # their true and computed sums both lie below 2 (2 + t) e^-y, since
-            # t/(1 - e^-t/2) <= 2 + t; charge twice that, in logs so that it stays
-            # positive where e^-y alone underflows
-            y = max(_NORMAL_Y, 0.5 * t)
-            underflow = math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
-        tail = None
-        if count > head:
-            tail = (lo, hi, _weight_derivatives(t, lo), _weight_derivatives(t, hi),
-                    _log_tanh(0.25 * lo), _log_tanh(0.25 * hi))
-        value = _fsum(view[a:b])
-        if values is None:
-            # the terms are positive, so their sum is their size
-            sums.append(_assemble(t, value, value, float(np.dot(w, rungs)), underflow, tail))
-            continue
-        m = magnitudes[a:b]
-        weight_sum = float(np.add.reduce(w))
-        sums.append((
-            _assemble(t, value, float(np.add.reduce(m)), float(np.dot(m, rungs)), underflow,
-                      tail, kernels[i]),
-            _assemble(t, weight_sum, weight_sum, float(np.dot(w, rungs)), underflow, tail)))
-    return sums
-
-
-def _assemble(t: float, value: float, size: float, moment: float, underflow: float,
-              tail, kernel=None) -> tuple[float, float, float]:
-    """(value, remainder, roundoff) of one ladder of ``_ladder_sums``, from
-    its head sum ``value``, the sum ``size`` of the magnitudes of its head
-    terms and their sum ``moment`` weighted by k, and the underflow charge.
-    ``tail`` is (lo, hi, the derivatives of w at lo and at hi,
-    log tanh(lo/4), log tanh(hi/4)), or None when there is no tail;
-    ``kernel`` is (ends, bounds, integral), or None for g = 1."""
     # each computed term is charged a few ulp, plus the rounding of its
     # argument y = k t/2 times the condition number (below 1 + y) of e^-y
     roundoff = _EPS * (8.0 * size + 0.5 * t * moment)
     roundoff += underflow
     if tail is None:
         return value, 0.0, roundoff
-    lo, hi, (w0, w1, w2, w3, w4, w5), (v0, v1, v2, v3, _, _), log_a, log_b = tail
+    lo, hi, wa, wb, log_a, log_b = tail
+    order = len(wa)
     if kernel is None:
-        # g = 1: the ends (1, 0, 0, 0) make f = w, the bounds (1, 0, ..., 0)
-        # leave |w^(5)(a)|, and the closed form's two logs are charged at the ends
+        # g = 1: f = w, so the derivatives of w make the end terms and the
+        # last one the remainder; the closed form's two logs are charged at the ends
         integral, integral_size = 2.0 * (log_b - log_a), 0.0
         size_a, size_b = abs(log_a), abs(log_b)
-        fa, da1, da3, fb, db1, db3 = w0, w1, w3, v0, v1, v3
-        leibniz = abs(w5)
+        fa, fb = wa, wb
+        leibniz = abs(wa[-1])
     else:
+        (w0, w1, w2, w3, w4, w5), (v0, v1, v2, v3) = wa, wb
         ((ga, ga1, ga2, ga3), (gb, gb1, gb2, gb3)), bounds, (integral, integral_size) = kernel
         size_a = size_b = 0.0
-        # f, f' and f''' at a and at b, by Leibniz's rule
-        fa, da1 = ga * w0, ga1 * w0 + ga * w1
-        fb, db1 = gb * v0, gb1 * v0 + gb * v1
-        da3 = ga3 * w0 + 3.0 * (ga2 * w1 + ga1 * w2) + ga * w3
-        db3 = gb3 * v0 + 3.0 * (gb2 * v1 + gb1 * v2) + gb * v3
+        # f, f' and f''' at a and at b by Leibniz's rule, indexed by order like wa
+        fa = (ga * w0, ga1 * w0 + ga * w1, None,
+              ga3 * w0 + 3.0 * (ga2 * w1 + ga1 * w2) + ga * w3)
+        fb = (gb * v0, gb1 * v0 + gb * v1, None,
+              gb3 * v0 + 3.0 * (gb2 * v1 + gb1 * v2) + gb * v3)
         c0, c1, c2, c3, c4, c5, c6 = bounds
         leibniz = (c0 * abs(w5) + 6.0 * (c1 * abs(w4) + c5 * abs(w0))
                    + 15.0 * (c2 * abs(w3) + c4 * abs(w1)) + 20.0 * c3 * abs(w2)
                    + c6 * 2.0 * (log_b - log_a))
-    value = (value + integral + 0.5 * (fa + fb)
-             + (db1 - da1) / 12.0 - (db3 - da3) / 720.0)
-    # likewise for the endpoint terms, whose condition numbers in the length
-    # x t stay below 1 + x t (summed left to right, not by +=, which would
-    # round the criterion sum's radius differently)
-    size_a = size_a + 0.5 * abs(fa) + abs(da1) / 12.0 + abs(da3) / 720.0
-    size_b = size_b + 0.5 * abs(fb) + abs(db1) / 12.0 + abs(db3) / 720.0
+    # the endpoint terms' condition numbers in the length x t stay below
+    # 1 + x t; each sum runs left to right, the rounding the kernel pins hold
+    value = value + integral + 0.5 * (fa[0] + fb[0])
+    size_a = size_a + 0.5 * abs(fa[0])
+    size_b = size_b + 0.5 * abs(fb[0])
+    ends, divisor = _EM[order]
+    for j, c in ends:
+        da, db = fa[j], fb[j]
+        value += (db - da) / c
+        size_a += abs(da / c)
+        size_b += abs(db / c)
     roundoff += _EPS * ((8.0 + lo) * size_a + (8.0 + hi) * size_b
                         + 8.0 * integral_size + abs(value))
-    return value, leibniz / 15120.0, roundoff  # 2 |B_6|/6! = 1/15120
+    return value, leibniz / divisor, roundoff
 
 
 def _criterion(mult: int, value: float, remainder: float, roundoff: float) -> tuple[float, float]:
@@ -357,10 +349,11 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
     """Spectral-criterion sum over a pinch ladder: multiplicity * t /
     sinh(k t/2) over its rungs k = 1..count, with an error radius.
 
-    The ladder goes through the ladder engine that the geometric side
-    shares, at the same cost whatever its length: the first 128 rungs term
-    by term, the rest by Euler-Maclaurin to order 6 with the closed-form
-    integral 2 log tanh(k t/4). The radius has two parts. The
+    The ladder goes through the ladder engine at g = 1, whose assembly the
+    geometric side shares, at the same cost whatever its length: up to 128
+    rungs term by term; past that the first 32 term by term and the rest by
+    Euler-Maclaurin to order 10 with the closed-form integral
+    2 log tanh(k t/4), all in pure Python. The radius has two parts. The
     Euler-Maclaurin remainder is a proven bound (DLMF 2.10.2). The roundoff
     part is an estimate: it charges each computed term a few ulp plus the
     rounding of its argument, which assumes libm exp, expm1, sinh, tanh and
@@ -375,7 +368,7 @@ def plancherel_sum(spectrum, radius) -> CertifiedValue:
     reach = _rung_length(t, count)
     if count > 0 and reach > r * (1.0 + 1e-12) + t * 1e-9:
         raise DomainError(f"ladder reaches {reach!r}, beyond radius {r!r}")
-    value, remainder, roundoff = _ladder_sums([t], [count])[0]
+    value, remainder, roundoff = _ladder_sum(t, count)
     _require_finite_scale(mult, value)
     return CertifiedValue(*_criterion(mult, value, remainder, roundoff))
 
@@ -398,17 +391,20 @@ def _bs_ratio(n: int, t: float, r: float) -> float:
 
 
 def harmonic_sum(n) -> float:
-    """H_n, summed term by term up to 128 terms, then by the asymptotic
-    expansion ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4), whose error
-    is below 1/(252 n^6) < 1e-15 there. n may exceed the float range."""
+    """H_n, summed term by term up to 32 terms, then by the asymptotic
+    expansion to order 10, ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4)
+    - 1/(252 n^6) + 1/(240 n^8), whose error is below 1/(132 n^10) < 1e-17
+    there. n may exceed the float range."""
     n = _as_int("n", n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if n <= _HEAD:
-        return math.fsum((1.0 / _HEAD_RUNGS[:n]).tolist())
+        return math.fsum(1 / k for k in range(1, n + 1))
     inv = 1 / n  # integer true division: n is never converted to float
     inv2 = inv * inv
-    return math.log(n) + float(np.euler_gamma) + 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
+    inv4 = inv2 * inv2
+    return (math.log(n) + _EULER_GAMMA + 0.5 * inv - inv2 / 12.0 + inv4 / 120.0
+            - inv4 * inv2 / 252.0 + inv4 * inv4 / 240.0)
 
 
 def sandwich_bounds(level, pinch_length, radius) -> tuple[float, float]:
@@ -554,7 +550,7 @@ def _schedule_rows(schedule, radius: float, j_max) -> list[tuple]:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     rows = []
     for j, n, t in zip(range(1, j_max + 1), schedule.levels, schedule.pinch_lengths):
-        sd = surface_data(n)
+        sd = _surface_data_cached(n)
         count = _ladder_count(t, radius) if _valid(sd.systole, t, radius) else None
         rows.append((j, n, t, _compacted(sd, t), count))
     return rows
@@ -564,31 +560,26 @@ def classify_schedule(schedule: Schedule, radius, j_max) -> ScheduleReport:
     """Evaluate both criteria along a schedule and attach trend verdicts.
 
     Rows whose pinch length defeats the validity floor are flagged rather
-    than fatal; their criterion fields are NaN. The criterion sums of the
-    valid rows go through the ladder engine in blocks of about _BLOCK head
-    rungs, grouped by ``_blocks`` as ``vanishing_series`` groups its rows,
-    and each row keeps the bits of a ``plancherel_sum`` call of its own.
+    than fatal; their criterion fields are NaN. Each valid row's criterion
+    sum goes through the ladder engine at g = 1 on its own, with the bits of
+    a ``plancherel_sum`` call.
     """
     r = _require_positive("radius", radius)
     entries = _schedule_rows(schedule, r, j_max)
-    ts = [t for _, _, t, _, count in entries if count is not None]
-    counts = [count for *_, count in entries if count is not None]
-    sums = iter([s for block in _blocks([c if c < _HEAD else _HEAD for c in counts])
-                 for s in _ladder_sums(ts[block], counts[block])])
     rows = []
     for j, n, t, surface, count in entries:
         pairs, volume = surface.pinched_count, surface.volume
         bs = pl_sum = pl_sum_radius = lower = upper = math.nan
         if count is not None:
             bs = _bs_ratio(n, t, r)
-            pl_sum, pl_sum_radius = _criterion(pairs, *next(sums))
+            pl_sum, pl_sum_radius = _criterion(pairs, *_ladder_sum(t, count))
             if r >= 1.0 and t < 1.0:
                 lo, up = _sandwich(pairs, t, r)
                 lower, upper = lo / volume, up / volume
-        rows.append(ScheduleRow(
-            j=j, level=n, pinch=t, b_pairs=pairs, genus=surface.genus, volume=volume,
-            bs_ratio=bs, pl_sum=pl_sum, pl_sum_radius=pl_sum_radius, pl_norm=pl_sum / volume,
-            lower=lower, upper=upper, valid=count is not None))
+        # the fields in order: j, level, pinch, b_pairs, genus, volume, bs_ratio,
+        # pl_sum, pl_sum_radius, pl_norm, lower, upper, valid
+        rows.append(ScheduleRow(j, n, t, pairs, surface.genus, volume, bs, pl_sum,
+                                pl_sum_radius, pl_sum / volume, lower, upper, count is not None))
     valid_rows = [row for row in rows if row.valid]
     return ScheduleReport(
         schedule_name=schedule.name,

@@ -188,4 +188,9 @@ def distortion_bound(eps: float) -> float:
     e = _as_real("eps", eps)
     if not 0.0 < e < 0.5:
         raise DomainError(f"eps must lie strictly in (0, 1/2), got {eps!r}")
+    return _distortion(e)
+
+
+def _distortion(e: float) -> float:
+    """distortion_bound for a checked 0 < e < 1/2."""
     return 1.0 + 1.25 * e * e

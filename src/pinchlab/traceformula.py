@@ -10,6 +10,8 @@ length spectrum. Both evaluations return a value with an error radius.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
@@ -22,13 +24,11 @@ from .convergence import (
     _EPS,
     _TINY,
     PinchLadder,
-    _blocks,
-    _fsum,
-    _head_rungs,
+    _assemble,
     _ladder_count,
-    _ladder_sums,
     _require_finite_scale,
     _schedule_rows,
+    _tail,
     _tail_span,
 )
 from .errors import DomainError, _as_real, _read_real, _require_positive
@@ -38,6 +38,9 @@ _DEGREE = 255  # of the kernel's Chebyshev series; g is even, so only T_0, T_2, 
 _TERMS = (_DEGREE + 1) // 2  # even coefficients, and interpolation nodes in [0, L]
 _CHOP = 8  # trailing coefficients behind the chopping estimate
 _GEO_HEAD = 1024  # rungs of a geometric side summed term by term before Euler-Maclaurin
+_GEO_ORDER = 6  # Euler-Maclaurin order of a geometric tail
+_HEAD_RUNGS = np.arange(1.0, _GEO_HEAD + 1.0)  # rung numbers for a head of up to 1024 rungs
+_BLOCK = 1 << 14  # kernel points per block of ladders, which bounds the temporaries
 _GEO_GAUSS = 128  # Gauss-Legendre nodes of the tail integral; exact to degree 255
 _R_SPLIT = 14.0  # 2r/(e^(2 pi r) + 1) is below 1e-36 past here
 _H_REACH = 1300.0  # largest r * g_support for h; the 384-point rule aliases from about 1370
@@ -65,6 +68,16 @@ _LOG_MOMENTS = 4.0 * np.arange(_TERMS) * _SIGNS * np.append(
 _LOG_MOMENT_SUM = float(np.sum(np.abs(_LOG_MOMENTS)))
 
 
+def _fsum(terms) -> float:
+    """math.fsum, but NaN where the sum overflows the float range or meets
+    infinities of both signs, so that the caller's check of its result can
+    name the cause."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -86,9 +99,10 @@ class TestFunction:
     def __post_init__(self) -> None:
         s = _require_positive("support_bound", self.support_bound)
         object.__setattr__(self, "support_bound", s)
-        # Python floats reach inf past the float range, where numpy would warn
+        # Python floats reach inf past the float range, where numpy would warn;
+        # each value must read as a real, so an array for a float raises too
         for u in (s + i * (s / 8.0) for i in range(9)):
-            if self.evaluator(u) != 0.0:
+            if _read_real(f"evaluator({u})", self.evaluator(u)) != 0.0:
                 raise DomainError(f"evaluator({u}) != 0 beyond the stated support {s}")
         grid = np.linspace(0.0, s, 33)
         try:
@@ -449,6 +463,81 @@ def plancherel_integral(profile: TransformProfile) -> CertifiedValue:
     return _certified(value, radius, profile)
 
 
+def _rung_weights(t, k: np.ndarray) -> np.ndarray:
+    """t/sinh(k t/2) over an array of rungs k, written as 2t e^-y/(1 - e^-2y)
+    with y = k t/2, so that long rungs underflow to 0 and nothing overflows;
+    t is a float, or an array of the t of each rung."""
+    y = k * (-0.5 * t)
+    return t * (np.exp(y) / np.expm1(y + y)) * -2.0
+
+
+def _head_rungs(ts: list[float], heads: list[int]) -> tuple[np.ndarray, object, list[int]]:
+    """The head rungs of a block of ladders, ladder after ladder: the rung
+    numbers k = 1..heads[i] of each, the t of each rung (a float for a block
+    of one, which needs no gathering), and where each ladder's rungs start,
+    with the end of the last one appended."""
+    starts = [0, *itertools.accumulate(heads)]
+    if len(heads) == 1:
+        return _HEAD_RUNGS[: heads[0]], ts[0], starts
+    return np.concatenate([_HEAD_RUNGS[:n] for n in heads]), np.repeat(ts, heads), starts
+
+
+def _blocks(sizes: list[int]) -> list[slice]:
+    """Runs of consecutive ladders for the ladder engine, given the points
+    each ladder brings: a run closes at the ladder that takes its points to
+    _BLOCK or past, and the last run takes what is left."""
+    ends = list(itertools.accumulate(sizes, initial=0))  # points before each ladder
+    blocks, start = [], 0
+    while start < len(sizes):
+        stop = min(bisect.bisect_left(ends, ends[start] + _BLOCK), len(sizes))
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
+
+
+def _ladder_sums(ts: list[float], counts: list[int], values: np.ndarray, kernels: list,
+                 cap: float) -> list[tuple]:
+    """The ladder engine with a kernel, over a block of ladders with pinch
+    lengths ``ts`` and rung counts ``counts``: for each ladder, the sum of
+    f(k) = g(k t) w(k), w(k) = t/sinh(k t/2), over k = 1..count through
+    ``convergence._assemble``, the assembly the criterion sum shares. The
+    first _GEO_HEAD rungs are summed term by term, the rest follow
+    Euler-Maclaurin to order 6, cut at ``cap``, where g vanishes.
+
+    ``values`` is g at the head rungs of every ladder, laid out as
+    ``_head_rungs`` lays them, and ``kernels`` gives each ladder's (ends,
+    bounds, integral) for ``_assemble``, or None when count <= _GEO_HEAD.
+
+    The head weights of the whole block come from one numpy pass. Each
+    ladder is then summed on its own slice: by math.fsum, which rounds
+    correctly, and by numpy's sums and dot products over the contiguous
+    slice, which round as they do on the ladder alone. The tail is scalar
+    work per ladder. So each ladder's bits do not depend on the block.
+
+    Each entry is the (value, remainder, roundoff) triple, and then the one
+    for g = 1 over the same rungs, head and cap, from the same weights and
+    end derivatives: the geometric side charges its kernel error on that
+    sum. Its head is summed by numpy's pairwise sum, not by fsum: that sum
+    only scales the kernel charge, itself an estimate.
+    """
+    k, at, starts = _head_rungs(ts, [min(count, _GEO_HEAD) for count in counts])
+    weights = _rung_weights(at, k)
+    terms = weights * values
+    magnitudes = np.abs(terms)
+    view = memoryview(terms)
+    sums = []
+    for i, (t, count) in enumerate(zip(ts, counts)):
+        a, b = starts[i], starts[i + 1]
+        rungs, w, m = k[a:b], weights[a:b], magnitudes[a:b]
+        underflow, tail = _tail(t, count, _GEO_HEAD, _GEO_ORDER, 1, cap)
+        weight_sum = float(np.add.reduce(w))
+        sums.append((
+            _assemble(t, _fsum(view[a:b]), float(np.add.reduce(m)), float(np.dot(m, rungs)),
+                      underflow, tail, kernels[i]),
+            _assemble(t, weight_sum, weight_sum, float(np.dot(w, rungs)), underflow, tail)))
+    return sums
+
+
 def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValue]:
     """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2)
     for each ladder (t, n, mult) of a block, n its rungs inside the support,
@@ -516,7 +605,7 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
             rule = _fsum(parts[_GEO_GAUSS * row : _GEO_GAUSS * (row + 1)])
             kernels[i] = (ends[row], bounds[row],
                           (log_part + rule, abs(log_part) + float(np.dot(w[row], sizes[row]))))
-    sums = _ladder_sums(ts, counts, _GEO_HEAD, values[:n_head], kernels, L)
+    sums = _ladder_sums(ts, counts, values[:n_head], kernels, L)
     sides = []
     for (_, n, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
         (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -33,6 +34,40 @@ def test_index_multiplicative():
     # N^3 * prod(1 - p^-2) is multiplicative over coprime levels
     for a, b in [(3, 5), (4, 9), (5, 8), (7, 12)]:
         assert index_d(a * b) == index_d(a) * index_d(b)
+
+
+M31, M61 = 2**31 - 1, 2**61 - 1  # Mersenne primes
+
+
+@pytest.mark.parametrize("n,d", [
+    (10**14 + 31, (10**14 + 31) ** 3 - (10**14 + 31)),  # prime: p^3 - p
+    (M61, M61**3 - M61),
+    (M31 * M61, (M31**3 - M31) * (M61**3 - M61)),  # multiplicative over coprime factors
+    (M61**2, M61**6 - M61**4),  # p^(3k) (1 - p^-2)
+    (2**70, 3 * 2**208),
+    (4099 * 4111, (4099**3 - 4099) * (4111**3 - 4111)),  # both factors just past trial division
+    # a strong pseudoprime to the bases 2..37, which base 41 exposes
+    (399165290221 * 798330580441,
+     (399165290221**3 - 399165290221) * (798330580441**3 - 798330580441)),
+])
+def test_index_of_large_levels(n, d):
+    assert index_d(n) == d
+
+
+def test_index_factors_large_prime_levels_fast():
+    # trial division alone would take about 5e6 divisions here
+    start = time.perf_counter()
+    assert index_d(10**14 + 31) == (10**14 + 31) ** 3 - (10**14 + 31)
+    assert time.perf_counter() - start < 0.02
+
+
+def test_index_refuses_levels_it_cannot_factor():
+    # a probable prime past the range where Miller-Rabin on 2..41 is exact,
+    # the least composite that passes all those bases, and a product of two
+    # large primes, which Pollard-Brent cannot split in budget
+    for n in (2**89 - 1, 1287836182261 * 2575672364521, (2**89 - 1) * (2**107 - 1)):
+        with pytest.raises(DomainError, match=f"cannot factor level {n}"):
+            index_d(n)
 
 
 def test_index_rejects_bad_levels():

@@ -30,7 +30,7 @@ from pinchlab import (
     transform_profile,
     validity_check,
 )
-from pinchlab.convergence import _EPS, _HEAD, _ladder_sums, _rung_length, _weight_derivatives
+from pinchlab.convergence import _EPS, _HEAD, _ladder_sum, _rung_length, _weight_derivatives
 
 mp.mp.dps = 50
 
@@ -195,6 +195,25 @@ def test_plancherel_sum_exact_reference():
             assert val.radius <= 1e-12 * float(val), (t, r)
 
 
+@pytest.mark.parametrize("t,n", [(1 / 7, 7), (1 / 300, 300), (5e-4, 2000), (1e-3, 2000),
+                                 (0.49, 4), (1e-6, 10**6)])
+def test_plancherel_sum_encloses_40_digit_reference(t, n):
+    # whole ladders, and heads of 32 with order-10 tails; the reference sums
+    # every term at 40 digits, or past 2000 rungs takes mpmath's own
+    # Euler-Maclaurin (numerical derivatives) after a direct head of 100
+    ladder = pinch_ladder(t, n * t, 1)
+    assert ladder.count == n
+    val = plancherel_sum(ladder, n * t)
+    with mp.workdps(40):
+        tt = mp.mpf(t)
+        term = lambda k: tt / mp.sinh(k * tt / 2)  # noqa: E731
+        if n <= 2000:
+            ref = mp.fsum(term(k) for k in range(1, n + 1))
+        else:
+            ref = mp.fsum(term(k) for k in range(1, 101)) + mp.sumem(term, [101, n])
+        assert abs(mp.mpf(float(val)) - ref) <= val.radius
+
+
 def test_plancherel_sum_count_beyond_float_range():
     # 10^310 rungs: count * t must not pass through float(count)
     ladder = pinch_ladder(1e-300, 1e10, 1)
@@ -257,14 +276,32 @@ def test_plancherel_sum_class_list_encloses_reference(length, primitive, mult):
         assert abs(mp.mpf(float(val)) - ref) <= val.radius
 
 
+@pytest.mark.parametrize("t,length", [(1e-3, 0.033), (1e-3, 1.0), (0.45, 14.85), (0.2, 80.0),
+                                      (5.0, 165.0), (1e-300, 3.3e-299)])
+def test_weight_derivatives_match_mpmath(t, length):
+    # one recurrence for every order, at small and large x t (s = sech^2 near
+    # 1 and near 0), against 40-digit differentiation of t/sinh(x t/2)
+    got = _weight_derivatives(t, length, 10, 1)
+    odd = _weight_derivatives(t, length, 10, 2)
+    with mp.workdps(40):
+        tt, x = mp.mpf(t), mp.mpf(length) / mp.mpf(t)
+        ref = mp.diffs(lambda y: tt / mp.sinh(y * tt / 2), x, 9)
+        for j, r in enumerate(ref):
+            assert abs(got[j] - r) <= 1e-14 * abs(r), (j, got[j], r)
+            if j == 0 or j % 2:
+                assert abs(odd[j] - r) <= 1e-14 * abs(r), (j, odd[j], r)
+            else:
+                assert odd[j] is None
+
+
 @pytest.mark.parametrize("t,r", [(0.1, 1e3), (1e-3, 1.0), (1e-7, 2.0), (1e-300, 1e3)])
 def test_ladder_engine_at_unit_kernel_is_the_criterion_sum(t, r):
-    # with g = 1 the Leibniz remainder is |w^(5)(a)|/15120 at a = _HEAD + 1,
+    # with g = 1 the order-10 remainder is |w^(9)(a)|/23950080 at a = _HEAD + 1,
     # and the two radius parts make up plancherel_sum's radius bit for bit
     ladder = pinch_ladder(t, r, 6)
-    assert ladder.count > _HEAD
-    value, remainder, roundoff = _ladder_sums([t], [ladder.count])[0]
-    assert remainder == abs(_weight_derivatives(t, (_HEAD + 1) * t)[5]) / 15120
+    assert ladder.count > 128
+    value, remainder, roundoff = _ladder_sum(t, ladder.count)
+    assert remainder == abs(_weight_derivatives(t, (_HEAD + 1) * t, 10, 2)[9]) / 23950080
     val = plancherel_sum(ladder, r)
     assert float(val) == 6 * value
     assert val.radius == 6 * (remainder + roundoff) + _EPS * 6 * value

@@ -1,7 +1,8 @@
 """What the package loads and binds, each case in a fresh interpreter where
 the import matters: the import itself loads no submodule, numpy is the only
-third-party module the package loads, and only the numeric exports and
-subcommands load it; every export still resolves.
+third-party module the package loads, and only the kernel exports
+(``traceformula``) and the ``trace-check`` subcommand load it; every export
+still resolves.
 And what its source leaves behind: no module imports a name it never uses,
 and every module-level private name is read somewhere in the package."""
 
@@ -69,12 +70,39 @@ def test_exact_subcommands_load_no_numpy(argv):
     assert _loaded(f"from pinchlab.cli import main; main({argv!r})", "numpy") == []
 
 
-def test_schedule_loads_numpy(tmp_path):
-    # the checks above can see an import: the numeric subcommands do load numpy
+def test_criterion_exports_load_no_numpy():
+    # every export of the criterion module, read from the export table, and
+    # each kind of criterion call, the head-plus-tail route included
+    code = ("import pinchlab; "
+            "[getattr(pinchlab, n) for n, m in pinchlab._EXPORTS.items() if m == 'convergence']; "
+            "pinchlab.plancherel_sum(pinchlab.pinch_ladder(1e-3, 1.0, 6), 1.0); "
+            "pinchlab.harmonic_sum(10**30); pinchlab.sandwich_bounds(7, 0.01, 1.0); "
+            "pinchlab.classify_schedule(pinchlab.Schedule.from_rule("
+            "'r', range(3, 200), 'reciprocal'), 1.0, 200)")
+    assert _loaded(code, "numpy") == []
+
+
+def test_regime_demo_loads_no_numpy():
+    code = "import runpy; runpy.run_path('demos/pinching_regime_classifier.py')"
+    assert _loaded(code, "numpy") == []
+
+
+def _schedule_config(tmp_path) -> str:
     config = tmp_path / "schedule.json"
-    config.write_text('{"name": "r", "levels": {"kind": "range", "start": 3, "stop": 6},'
+    config.write_text('{"name": "r", "levels": {"kind": "range", "start": 3, "stop": 200},'
                       ' "pinch": {"rule": "reciprocal"}}')
-    argv = ["schedule", "--config", str(config), "--radius", "1", "--j-max", "4"]
+    return str(config)
+
+
+def test_schedule_loads_no_numpy(tmp_path):
+    argv = ["schedule", "--config", _schedule_config(tmp_path), "--radius", "1",
+            "--j-max", "200"]
+    assert _loaded(f"from pinchlab.cli import main; main({argv!r})", "numpy") == []
+
+
+def test_trace_check_loads_numpy():
+    # the checks above can see an import: the kernel subcommand does load numpy
+    argv = ["trace-check", "--supports", "1", "--tol", "1e-9"]
     assert "numpy" in _loaded(f"from pinchlab.cli import main; main({argv!r})", "numpy")
 
 

@@ -27,8 +27,8 @@ from pinchlab import (
     validity_check,
     vanishing_series,
 )
-from pinchlab.convergence import _BLOCK, _rung_length
-from pinchlab.traceformula import _GEO_GAUSS, _GEO_HEAD, _giant_split, _split_series
+from pinchlab.convergence import _rung_length
+from pinchlab.traceformula import _BLOCK, _GEO_GAUSS, _GEO_HEAD, _giant_split, _split_series
 
 mp.mp.dps = 50
 
@@ -158,6 +158,14 @@ def test_test_function_refuses_scalar_only_evaluators(evaluator):
     # a 2-d array; refused where the test function is made, not in the build
     with pytest.raises(DomainError, match="float array"):
         TestFunction(evaluator=evaluator, support_bound=1.0)
+
+
+@pytest.mark.parametrize("value", [np.zeros((2, 33)), "0", [0.0]])
+def test_test_function_refuses_values_that_are_not_reals(value):
+    # beyond the support each value is read as a real, so an evaluator that
+    # gives an array, text or a list for a float raises DomainError, not ValueError
+    with pytest.raises(DomainError, match="must be a real"):
+        TestFunction(evaluator=lambda u: value, support_bound=1.0)
 
 
 # ---------------------------------------------------------------- g
@@ -369,18 +377,20 @@ def test_split_series_is_elementwise(threads):
     assert proc.stdout.strip() == "elementwise"
 
 
-# Run in a fresh interpreter under a given BLAS thread count: a schedule's
-# rows go through the ladder engine in blocks, and no row's bits may depend
-# on the rows it shares a block with. Each row is compared with a call of
-# its own (a block of one) with the blocks at their own size, at one row
-# and at the whole schedule. The rows hold two invalid ones in front, rung
-# counts 0 and 1, counts at both edges of the criterion head (128) and of
-# the geometric head (1024), and t = 1e-300 in the block of t = 0.3; j_max = 7
-# cuts the block in its middle.
+# Run in a fresh interpreter under a given BLAS thread count: the geometric
+# sides of a schedule's rows go through the kernel engine in blocks, and no
+# row's bits may depend on the rows it shares a block with. Each row is
+# compared with a call of its own (a block of one) with the blocks at their
+# own size, at one row and at the whole schedule; each criterion sum of
+# classify_schedule, which takes no blocks, with its own plancherel_sum. The
+# rows hold two invalid ones in front, rung counts 0 and 1, counts at both
+# edges of the criterion's whole ladders (128) and of the geometric head
+# (1024), and t = 1e-300 in the block of t = 0.3; j_max = 7 cuts the block
+# in its middle.
 _BLOCK_INDEPENDENT = """
 from pinchlab import (Schedule, bump, classify_schedule, compacted_surface, geometric_side,
                       pinch_ladder, plancherel_sum, transform_profile, vanishing_series)
-from pinchlab import convergence
+from pinchlab import traceformula
 
 phi = bump(0.1)
 profile = transform_profile(phi)
@@ -415,11 +425,11 @@ def block_rows(j_max):
 for j_max in (len(pinches), 7):
     own = own_rows(j_max)
     assert [row[0] for row in own] == [False] * 2 + [True] * (j_max - 2)
-    # both passes group their ladders by convergence._blocks: at its own
+    # vanishing_series groups its ladders by traceformula._blocks: at its own
     # size, at one ladder a block (a zero-rung row joins the next) and at the
     # whole schedule
-    for block in (convergence._BLOCK, 1, 10**9):
-        convergence._BLOCK = block
+    for block in (traceformula._BLOCK, 1, 10**9):
+        traceformula._BLOCK = block
         assert block_rows(j_max) == own, (j_max, block)
 print("independent")
 """
