@@ -232,6 +232,8 @@ def _compacted(sd, t: float) -> CompactedSurface:
 def is_in_gamma(m: IntegerMatrix2, level) -> bool:
     """Whether the matrix is congruent to the identity mod N. Requires det 1."""
     n = _as_level(level)
+    if not isinstance(m, IntegerMatrix2):
+        raise DomainError(f"m must be an IntegerMatrix2, got {m!r}")
     if m.det != 1:
         raise DomainError(f"matrix determinant must be 1, got {m.det}")
     return (

@@ -200,30 +200,26 @@ def _weight_derivatives(t: float, length: float, stop: int, step: int) -> list:
     return out
 
 
-def _tail_span(t: float, count: int, head: int, cap: float = math.inf) -> tuple[float, float]:
-    """The first and the last tail length, (head + 1) t and count t, each cut at cap."""
-    lo, hi = (head + 1) * t, _rung_length(t, count)
-    return (lo if lo < cap else cap), (hi if hi < cap else cap)
-
-
 def _tail(t: float, count: int, head: int, order: int, step: int,
           cap: float = math.inf) -> tuple:
     """(underflow, tail) of a ladder with ``count`` rungs, a head of ``head``
     and a tail to Euler-Maclaurin ``order``, for ``_assemble``. The tail is
     (lo, hi, the derivatives of the weight at lo, up to the order's last,
     and at hi, up to the last end term's, log tanh(lo/4), log tanh(hi/4)),
-    or None when count <= head. g = 1 reads only the odd derivatives
-    (step 2); a kernel's Leibniz rule reads them all (step 1)."""
-    lo, hi = _tail_span(t, count, head, cap)
+    or None when count <= head; lo and hi are (head + 1) t and count t, each
+    cut at cap. g = 1 reads only the odd derivatives (step 2); a kernel's
+    Leibniz rule reads them all (step 1)."""
+    lo, hi = (head + 1) * t, _rung_length(t, count)
+    lo, hi = (lo if lo < cap else cap), (hi if hi < cap else cap)
     underflow = 0.0
     if hi > 2.0 * _NORMAL_Y:
         # past y = k t/2 = _NORMAL_Y the terms lose their relative accuracy,
         # down to exact zeros. Those rungs have y >= max(_NORMAL_Y, t/2), and
         # their true and computed sums both lie below 2 (2 + t) e^-y, since
         # t/(1 - e^-t/2) <= 2 + t; charge twice that, in logs so that it stays
-        # positive where e^-y alone underflows
+        # positive where e^-y alone underflows, and finite where 4 (2 + t) overflows
         y = max(_NORMAL_Y, 0.5 * t)
-        underflow = math.exp(math.log(4.0 * (2.0 + t)) - y) + _TINY
+        underflow = math.exp(math.log(2.0 + t) + math.log(4.0) - y) + _TINY
     if count <= head:
         return underflow, None
     return underflow, (lo, hi, _weight_derivatives(t, lo, order, step),
@@ -444,6 +440,14 @@ _RULES = {
 }
 
 
+def _as_tuple(name: str, items) -> tuple:
+    """The items of a schedule argument, or DomainError naming it."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {items!r}") from None
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A named sequence of (level, pinch length) pairs with t nonincreasing."""
@@ -456,16 +460,16 @@ class Schedule:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise DomainError(f"schedule name must be a nonempty string, got {self.name!r}")
-        if not self.levels:
+        levels = _as_tuple("levels", self.levels)
+        pinch = _as_tuple("pinch_lengths", self.pinch_lengths)
+        if not levels:
             raise DomainError("schedule must contain at least one level")
-        levels = tuple(_as_level(n) for n in self.levels)
+        levels = tuple(_as_level(n) for n in levels)
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DomainError("levels must be strictly increasing")
-        if len(self.pinch_lengths) != len(levels):
-            raise DomainError(
-                f"{len(self.pinch_lengths)} pinch lengths for {len(levels)} levels"
-            )
-        pinch = tuple(_validate_pinch(t) for t in self.pinch_lengths)
+        if len(pinch) != len(levels):
+            raise DomainError(f"{len(pinch)} pinch lengths for {len(levels)} levels")
+        pinch = tuple(_validate_pinch(t) for t in pinch)
         if any(b > a for a, b in zip(pinch, pinch[1:])):
             raise DomainError("pinch lengths must be nonincreasing")
         object.__setattr__(self, "levels", levels)
@@ -477,18 +481,13 @@ class Schedule:
             raise DomainError(
                 f"unknown pinch rule {rule!r}; expected one of {sorted(_RULES)} or explicit lengths"
             )
-        levels = tuple(levels)
+        levels = _as_tuple("levels", levels)
         pinch = tuple(_RULES[rule](_as_int("level", n)) for n in levels)
         return cls(name=name, levels=levels, pinch_lengths=pinch, rule=rule)
 
     @classmethod
     def explicit(cls, name: str, levels, pinch_lengths) -> "Schedule":
-        return cls(
-            name=name,
-            levels=tuple(levels),
-            pinch_lengths=tuple(pinch_lengths),
-            rule="explicit",
-        )
+        return cls(name=name, levels=levels, pinch_lengths=pinch_lengths, rule="explicit")
 
 
 @dataclass(frozen=True)

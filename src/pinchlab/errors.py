@@ -74,8 +74,8 @@ def _validate_pinch(t) -> float:
 
 def _as_int(name: str, x) -> int:
     try:
-        n = int(x)  # NaN raises ValueError, an infinity OverflowError
-    except (ValueError, OverflowError):
+        n = int(x)  # NaN raises ValueError, an infinity OverflowError, None TypeError
+    except (TypeError, ValueError, OverflowError):
         n = None
     if isinstance(x, bool) or n is None or n != x:
         raise DomainError(f"{name} must be an integer, got {x!r}")

@@ -29,7 +29,6 @@ from .convergence import (
     _require_finite_scale,
     _schedule_rows,
     _tail,
-    _tail_span,
 )
 from .errors import DomainError, _as_real, _read_real, _require_positive
 from .hyperbolic import _NORMAL_MIN, _acosh1p
@@ -471,19 +470,8 @@ def _rung_weights(t, k: np.ndarray) -> np.ndarray:
     return t * (np.exp(y) / np.expm1(y + y)) * -2.0
 
 
-def _head_rungs(ts: list[float], heads: list[int]) -> tuple[np.ndarray, object, list[int]]:
-    """The head rungs of a block of ladders, ladder after ladder: the rung
-    numbers k = 1..heads[i] of each, the t of each rung (a float for a block
-    of one, which needs no gathering), and where each ladder's rungs start,
-    with the end of the last one appended."""
-    starts = [0, *itertools.accumulate(heads)]
-    if len(heads) == 1:
-        return _HEAD_RUNGS[: heads[0]], ts[0], starts
-    return np.concatenate([_HEAD_RUNGS[:n] for n in heads]), np.repeat(ts, heads), starts
-
-
 def _blocks(sizes: list[int]) -> list[slice]:
-    """Runs of consecutive ladders for the ladder engine, given the points
+    """Runs of consecutive ladders for ``_block_sides``, given the points
     each ladder brings: a run closes at the ladder that takes its points to
     _BLOCK or past, and the last run takes what is left."""
     ends = list(itertools.accumulate(sizes, initial=0))  # points before each ladder
@@ -495,91 +483,64 @@ def _blocks(sizes: list[int]) -> list[slice]:
     return blocks
 
 
-def _ladder_sums(ts: list[float], counts: list[int], values: np.ndarray, kernels: list,
-                 cap: float) -> list[tuple]:
-    """The ladder engine with a kernel, over a block of ladders with pinch
-    lengths ``ts`` and rung counts ``counts``: for each ladder, the sum of
-    f(k) = g(k t) w(k), w(k) = t/sinh(k t/2), over k = 1..count through
-    ``convergence._assemble``, the assembly the criterion sum shares. The
-    first _GEO_HEAD rungs are summed term by term, the rest follow
-    Euler-Maclaurin to order 6, cut at ``cap``, where g vanishes.
-
-    ``values`` is g at the head rungs of every ladder, laid out as
-    ``_head_rungs`` lays them, and ``kernels`` gives each ladder's (ends,
-    bounds, integral) for ``_assemble``, or None when count <= _GEO_HEAD.
-
-    The head weights of the whole block come from one numpy pass. Each
-    ladder is then summed on its own slice: by math.fsum, which rounds
-    correctly, and by numpy's sums and dot products over the contiguous
-    slice, which round as they do on the ladder alone. The tail is scalar
-    work per ladder. So each ladder's bits do not depend on the block.
-
-    Each entry is the (value, remainder, roundoff) triple, and then the one
-    for g = 1 over the same rungs, head and cap, from the same weights and
-    end derivatives: the geometric side charges its kernel error on that
-    sum. Its head is summed by numpy's pairwise sum, not by fsum: that sum
-    only scales the kernel charge, itself an estimate.
-    """
-    k, at, starts = _head_rungs(ts, [min(count, _GEO_HEAD) for count in counts])
-    weights = _rung_weights(at, k)
-    terms = weights * values
-    magnitudes = np.abs(terms)
-    view = memoryview(terms)
-    sums = []
-    for i, (t, count) in enumerate(zip(ts, counts)):
-        a, b = starts[i], starts[i + 1]
-        rungs, w, m = k[a:b], weights[a:b], magnitudes[a:b]
-        underflow, tail = _tail(t, count, _GEO_HEAD, _GEO_ORDER, 1, cap)
-        weight_sum = float(np.add.reduce(w))
-        sums.append((
-            _assemble(t, _fsum(view[a:b]), float(np.add.reduce(m)), float(np.dot(m, rungs)),
-                      underflow, tail, kernels[i]),
-            _assemble(t, weight_sum, weight_sum, float(np.dot(w, rungs)), underflow, tail)))
-    return sums
-
-
 def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValue]:
     """(mult/2) sum over the rungs inside the support of t g(k t)/sinh(k t/2)
-    for each ladder (t, n, mult) of a block, n its rungs inside the support,
-    from one ``profile.g`` call at the block's kernel points: the head rungs
-    k t, k = 1..min(n, _GEO_HEAD), ladder after ladder, and then the nodes
-    of each tail's Gauss rule.
+    for each ladder (t, n, mult) of a block, n its rungs inside the support.
 
-    The ladder engine ``_ladder_sums`` sums them, with heads of _GEO_HEAD
-    rungs and tails, k = a..b, cut at the support L. This supplies the
-    kernel: g at the head rungs; g and its first three derivatives at the
-    two tail ends, from the derivative series in x = u/L (one cosine matrix
-    for the block), and the bounds on the first six, ``_series_sups``, all
-    times (t/L)^i to make them derivatives in k. A ladder with a tail has
+    This is the kernel engine: for each ladder, the sum of f(k) = g(k t) w(k),
+    w(k) = t/sinh(k t/2), over k = 1..n through ``convergence._assemble``,
+    the assembly the criterion sum shares. The first _GEO_HEAD rungs are
+    summed term by term; the tail, k = a..b, follows Euler-Maclaurin to
+    order 6, cut at the support L, where g vanishes. One ``profile.g`` call
+    takes the block's kernel points: the head rungs k t, ladder after ladder
+    (a block of one needs no gathering), and then the nodes of each tail's
+    Gauss rule. A tail also takes g and its first three derivatives at its
+    two ends, from the derivative series in x = u/L (one cosine matrix for
+    the block), and the bounds on the first six, ``_series_sups``, all times
+    (t/L)^i to make them derivatives in k. A ladder with a tail has
     t/L < 1/1024, so no scaled value overflows, however small L; and the tail
     integral int g(u)/sinh(u/2) du over [a t, b t]. That integral is
     2 g(0) log(b/a) plus a 128-point Gauss-Legendre rule for the rest:
     2 (g(u) - g(0))/u, a polynomial of degree 253 on the series that the
     rule integrates exactly, and g(u) (1/sinh(u/2) - 2/u), which is analytic.
-    The rule's terms are formed for the block at once and summed per ladder,
-    by fsum and a dot product over the ladder's row. The radius adds
-    ``kernel_error`` times the summed weights: the engine's sum at g = 1 over
-    the same rungs, which the same call returns, with its radius, and a
-    _TINY for each head product and _TAIL_FLOOR of them for a tail, for
-    rounding in the subnormal range. The tail's count is an estimate: the
-    rule rounds 384 products, and the end corrections about 2000 _TINY, the
-    derivative series amplifying their rounding by up to (2 * 254^2 t/L)^3
-    <= 126^3 before the weights and 1/720 damp it. A sum past the float
-    range raises DomainError: naming the multiplicity where it times the
-    summed weights passes that range, else the kernel's scale. g is
-    elementwise (``_split_series`` pads its matrix products) and the engine
-    sums each ladder on its own, so no ladder's bits depend on its block.
+
+    The head weights and the rule's terms are formed for the block at once.
+    Each ladder is then summed on its own slice: by math.fsum, which rounds
+    correctly, and by numpy's sums and dot products over the contiguous
+    slice, which round as they do on the ladder alone; its tail is scalar
+    work. g is elementwise (``_split_series`` pads its matrix products), so
+    no ladder's bits depend on its block.
+
+    The radius adds ``kernel_error`` times the summed weights: the engine's
+    sum at g = 1 over the same rungs, head and cap, from the same weights and
+    end derivatives, with its radius. Its head is summed by numpy's pairwise
+    sum, not by fsum: that sum only scales the kernel charge, itself an
+    estimate. It adds a _TINY for each head product and _TAIL_FLOOR of them
+    for a tail, for rounding in the subnormal range. The tail's count is an
+    estimate: the rule rounds 384 products, and the end corrections about
+    2000 _TINY, the derivative series amplifying their rounding by up to
+    (2 * 254^2 t/L)^3 <= 126^3 before the weights and 1/720 damp it. A sum
+    past the float range raises DomainError: naming the multiplicity where
+    it times the summed weights passes that range, else the kernel's scale.
     """
     L = profile.g_support
     ts, counts = [t for t, _, _ in ladders], [n for _, n, _ in ladders]
-    # the head rungs k t, formed in one expression so that the rung numbers
-    # are not held through the kernel call and the engine's own copy of them
-    points = np.multiply(*_head_rungs(ts, [min(n, _GEO_HEAD) for n in counts])[:2])
+    heads = [min(n, _GEO_HEAD) for n in counts]
+    starts = [0, *itertools.accumulate(heads)]
+    if len(ladders) == 1:
+        k, at = _HEAD_RUNGS[: heads[0]], ts[0]
+    else:
+        k, at = np.concatenate([_HEAD_RUNGS[:n] for n in heads]), np.repeat(ts, heads)
+    # each ladder's rung numbers are _HEAD_RUNGS[:head], so the gathered ones
+    # need not be held through the kernel call
+    points, weights = k * at, _rung_weights(at, k)
+    del k, at
     n_head = points.size
-    tailed = [i for i, n in enumerate(counts) if n > _GEO_HEAD]
+    tails = [_tail(t, n, _GEO_HEAD, _GEO_ORDER, 1, L) for t, n in zip(ts, counts)]
+    tailed = [i for i, (_, tail) in enumerate(tails) if tail is not None]
     if tailed:
         # the last rung may pass L by the cutoff grace; g vanishes there
-        spans = [_tail_span(ts[i], counts[i], _GEO_HEAD, L) for i in tailed]
+        spans = [tails[i][1][:2] for i in tailed]
         lo, hi = np.array(spans).T
         x, wq = _gauss_legendre(_GEO_GAUSS)
         nodes = lo[:, None] + (0.5 * (hi - lo))[:, None] * (x + 1.0)
@@ -605,16 +566,24 @@ def _block_sides(ladders: list, profile: TransformProfile) -> list[CertifiedValu
             rule = _fsum(parts[_GEO_GAUSS * row : _GEO_GAUSS * (row + 1)])
             kernels[i] = (ends[row], bounds[row],
                           (log_part + rule, abs(log_part) + float(np.dot(w[row], sizes[row]))))
-    sums = _ladder_sums(ts, counts, values[:n_head], kernels, L)
+    terms = weights * values[:n_head]
+    magnitudes = np.abs(terms)
+    view = memoryview(terms)
     sides = []
-    for (_, n, mult), (kernel_sum, unit_sum) in zip(ladders, sums):
-        (value, remainder, roundoff), (weight_sum, weight_remainder, weight_roundoff) = (
-            kernel_sum, unit_sum)
+    for i, ((t, n, mult), (underflow, tail)) in enumerate(zip(ladders, tails)):
+        head = slice(starts[i], starts[i + 1])
+        rungs, unit, m = _HEAD_RUNGS[: heads[i]], weights[head], magnitudes[head]
+        value, remainder, roundoff = _assemble(
+            t, _fsum(view[head]), float(np.add.reduce(m)), float(np.dot(m, rungs)), underflow,
+            tail, kernels[i])
+        weight_sum = float(np.add.reduce(unit))
+        weight_sum, weight_remainder, weight_roundoff = _assemble(
+            t, weight_sum, weight_sum, float(np.dot(unit, rungs)), underflow, tail)
         _require_finite_scale(mult, weight_sum)
         kernel_charge = profile.kernel_error * (weight_sum + (weight_remainder + weight_roundoff))
         # rounding in the subnormal range: a _TINY for each head term, and
         # _TAIL_FLOOR of them for the tail's rule and end corrections
-        floor = _TINY * (min(n, _GEO_HEAD) + (_TAIL_FLOOR if n > _GEO_HEAD else 0))
+        floor = _TINY * (heads[i] + (_TAIL_FLOOR if tail is not None else 0))
         value *= 0.5 * mult
         sides.append(_certified(
             value, 0.5 * mult * (remainder + roundoff + kernel_charge + floor) + _EPS * abs(value),
@@ -628,9 +597,10 @@ def geometric_side(spectrum, profile: TransformProfile) -> CertifiedValue:
     t / (2 sinh(k t/2)) * g(k t) over its rungs, with g the kernel of
     ``profile``.
 
-    The ladder goes through the ladder engine of ``plancherel_sum`` with g
-    as the weight: the first 1024 rungs term by term, the rest by
-    Euler-Maclaurin on the kernel series, with the tail integral taken as
+    The ladder goes through the kernel engine, which shares only its
+    assembly, ``convergence._assemble``, with ``plancherel_sum``: the first
+    1024 rungs term by term, the rest by Euler-Maclaurin on the kernel
+    series, with the tail integral taken as
     2 g(0) log(b/a) plus a Gauss rule. The radius charges ``kernel_error``
     times the summed weights. The Euler-Maclaurin remainder is a proven
     bound for the series kernel; the kernel error and the roundoff (a few

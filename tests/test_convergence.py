@@ -222,10 +222,12 @@ def test_plancherel_sum_count_beyond_float_range():
     assert abs(float(val) - exact_ladder_sum(1e-300, ladder.count, 1)) <= val.radius
     # every rung underflows: the computed sum is 0, so only a positive radius
     # can enclose the true sum; past the first rung the terms shrink by e^-5e299
-    val = plancherel_sum(pinch_ladder(1e300, 1.7e308, 3), 1.7e308)
-    t = mp.mpf(1e300)
-    first = 3 * t / mp.sinh(t / 2)
-    assert first > 0 and abs(mp.mpf(float(val)) - first) <= val.radius
+    # or more. Past t = 4.5e307, 4 (2 + t) overflows, so the underflow charge
+    # must not form it
+    for t, radius, mult in ((1e300, 1.7e308, 3), (4.6e307, 4.6e307, 1), (1.7e308, 1.7e308, 1)):
+        val = plancherel_sum(pinch_ladder(t, radius, mult), radius)
+        first = mult * mp.mpf(t) / mp.sinh(mp.mpf(t) / 2)
+        assert first > 0 and abs(mp.mpf(float(val)) - first) <= val.radius
 
 
 def test_plancherel_sum_long_ladder_emits_no_warning():

@@ -14,6 +14,7 @@ from pinchlab import (
     geometric_side,
     harmonic_sum,
     injrad_from_collar,
+    is_in_gamma,
     pinch_ladder,
     plancherel_sum,
     sandwich_bounds,
@@ -110,6 +111,23 @@ def test_class_sums_past_the_float_range_name_the_multiplicities(call):
     # ladder sums whose every rung is finite but whose multiplicity takes the
     # total past the float range: two rungs, one rung, and nine rungs of a kernel
     with pytest.raises(DomainError, match="float range at a multiplicity of 1.79769e"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: Schedule("x", (3, 4), 0.5), "pinch_lengths"),
+    (lambda: Schedule("x", 3, (0.5,)), "levels"),
+    (lambda: Schedule.from_rule("x", None, "reciprocal"), "levels"),
+    (lambda: Schedule.explicit("x", [3], None), "pinch_lengths"),
+    (lambda: Schedule.from_rule("x", [3, None], "reciprocal"), "level"),
+    (lambda: surface_data([7]), "level"),
+    (lambda: is_in_gamma((1, 0, 0, 1), 3), "m"),
+], ids=["schedule_pinch_real", "schedule_levels_int", "from_rule_levels_none",
+        "explicit_pinch_none", "from_rule_level_none", "surface_data_list", "is_in_gamma_tuple"])
+def test_arguments_of_the_wrong_kind_raise_domain_error_naming_them(call, name):
+    # a real where a sequence belongs, None or a list where an integer
+    # belongs, and a tuple where a matrix belongs
+    with pytest.raises(DomainError, match=f"^{name} must be"):
         call()
 
 
