@@ -5,8 +5,14 @@ deterministic CSV or JSON.
 Floats are serialized with 17 significant digits in lowercase scientific
 notation so golden files are byte-stable across IEEE-754 platforms; the only
 nondeterministic field is meta.wall_clock_s in JSON output. Files are written
-atomically (temp file + rename). Exit codes: 0 success, 1 identity or
-assertion failure, 2 usage.
+atomically (temp file + rename). Exit codes: 0 success, 1 when a handler's
+own check fails (``systole`` not passed, a failing ``trace-check`` row), 2 for
+every refused input, each PinchlabError printed as a ``usage error:`` line.
+The library judges the values it is given (``config rejected:`` marks those
+of the config that ``Schedule`` refuses). The CLI raises DomainError only for
+its own rules: the config's JSON structure and ``levels.kind``, a range's
+integer start, stop and step >= 1, survey's 3 <= n-min <= n-max <= 10000,
+the supports list and a positive ``--tol``.
 
 Each handler returns its rows, its verdicts and its exit code. A row is a
 dict whose keys, in order, are the columns, so the CSV header and the JSON
@@ -35,10 +41,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import PinchlabError
-
-class _UsageError(Exception):
-    pass
+from .errors import DomainError, PinchlabError, _as_int, _require_positive
 
 
 def _fmt_float(x: float) -> str:
@@ -105,7 +108,7 @@ def _cmd_survey(params: dict):
 
     n_min, n_max = params["n_min"], params["n_max"]
     if not 3 <= n_min <= n_max <= 10**4:
-        raise _UsageError(
+        raise DomainError(
             f"need 3 <= n-min <= n-max <= 10000, got n-min={n_min}, n-max={n_max}"
         )
     rows = []
@@ -129,13 +132,6 @@ def _cmd_systole(params: dict):
     from .congruence import min_hyperbolic_trace, search_size_estimate, witness_matrix
 
     level, bound = params["level"], params["entry_bound"]
-    if level < 3:
-        raise _UsageError(f"level must be >= 3, got {level}")
-    if bound < level * level:
-        raise _UsageError(
-            f"entry-bound must be >= N^2 = {level * level} so the witness lies "
-            f"in the box, got {bound}"
-        )
     candidates = search_size_estimate(level, bound)
     found = min_hyperbolic_trace(level, bound)
     expected = level * level - 2
@@ -158,7 +154,7 @@ def _cmd_systole(params: dict):
 
 def _require_field(doc: dict, path: str, key: str):
     if not isinstance(doc, dict) or key not in doc:
-        raise _UsageError(f"config is missing field '{path}{key}'")
+        raise DomainError(f"config is missing field '{path}{key}'")
     return doc[key]
 
 
@@ -166,43 +162,31 @@ def _schedule_from_config(doc):
     from .convergence import Schedule
 
     name = _require_field(doc, "", "name")
-    if not isinstance(name, str):
-        raise _UsageError("config field 'name' must be a string")
     levels_spec = _require_field(doc, "", "levels")
     kind = _require_field(levels_spec, "levels.", "kind")
     if kind == "explicit":
         levels = _require_field(levels_spec, "levels.", "values")
-        if not isinstance(levels, list):
-            raise _UsageError("config field 'levels.values' must be a list")
     elif kind == "range":
-        start = _require_field(levels_spec, "levels.", "start")
-        stop = _require_field(levels_spec, "levels.", "stop")
-        step = levels_spec.get("step", 1)
-        for label, v in (("start", start), ("stop", stop), ("step", step)):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise _UsageError(f"config field 'levels.{label}' must be an integer")
+        spec = {"step": 1, **levels_spec}
+        start, stop, step = (_as_int(f"config field 'levels.{key}'",
+                                     _require_field(spec, "levels.", key))
+                             for key in ("start", "stop", "step"))
         if step < 1:
-            raise _UsageError("config field 'levels.step' must be >= 1")
-        levels = list(range(start, stop + 1, step))
+            raise DomainError(f"config field 'levels.step' must be >= 1, got {step}")
+        levels = range(start, stop + 1, step)
     else:
-        raise _UsageError(
+        raise DomainError(
             f"config field 'levels.kind' must be 'explicit' or 'range', got {kind!r}"
         )
-    if not levels:
-        raise _UsageError("config produced an empty levels list")
     pinch_spec = _require_field(doc, "", "pinch")
     rule = _require_field(pinch_spec, "pinch.", "rule")
+    values = _require_field(pinch_spec, "pinch.", "values") if rule == "explicit" else None
     try:
         if rule == "explicit":
-            values = _require_field(pinch_spec, "pinch.", "values")
-            # JSON numbers only: true is not the length 1.0, nor the string "0.5" a length
-            if not isinstance(values, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-                raise _UsageError("config field 'pinch.values' must be a list of numbers")
             return Schedule.explicit(name, levels, values)
         return Schedule.from_rule(name, levels, rule)
     except PinchlabError as exc:
-        raise _UsageError(f"config rejected: {exc}") from exc
+        raise DomainError(f"config rejected: {exc}") from exc
 
 
 # the ScheduleRow fields whose CSV and JSON columns carry another name
@@ -217,16 +201,10 @@ def _cmd_schedule(params: dict):
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+        raise DomainError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
-    schedule = _schedule_from_config(doc)
-    radius, j_max = params["radius"], params["j_max"]
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise _UsageError(f"radius must be a positive finite real, got {radius}")
-    if j_max < 1:
-        raise _UsageError(f"j-max must be >= 1, got {j_max}")
-    report = classify_schedule(schedule, radius, j_max)
+        raise DomainError(f"config {path!r} is not valid JSON: {exc}") from exc
+    report = classify_schedule(_schedule_from_config(doc), params["radius"], params["j_max"])
     columns = [_SCHEDULE_COLUMNS.get(field, field) for field in vars(report.rows[0])]
     rows = [dict(zip(columns, vars(row).values())) for row in report.rows]
     verdicts = {"plancherel": report.plancherel_verdict, "bs": report.bs_verdict}
@@ -240,12 +218,10 @@ def _cmd_trace_check(params: dict):
     try:
         supports = [float(x) for x in raw.split(",") if x.strip()]
     except ValueError as exc:
-        raise _UsageError(f"cannot parse supports list {raw!r}: {exc}") from exc
+        raise DomainError(f"cannot parse supports list {raw!r}: {exc}") from exc
     if not supports:
-        raise _UsageError("supports list is empty")
-    tol = params["tol"]
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise _UsageError(f"tol must be > 0, got {tol}")
+        raise DomainError("supports list is empty")
+    tol = _require_positive("tol", params["tol"])
     phi0 = math.exp(-1.0)
     rows = []
     for s in supports:
@@ -319,12 +295,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         rows, verdicts, code = handler(params)
-    except _UsageError as exc:
+    except PinchlabError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PinchlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     wall = time.perf_counter() - start
     if args.format == "csv":
         text = _csv_text(rows, verdicts)

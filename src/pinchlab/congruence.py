@@ -33,6 +33,10 @@ class IntegerMatrix2:
     c: int
     d: int
 
+    def __post_init__(self) -> None:
+        for entry in ("a", "b", "c", "d"):
+            object.__setattr__(self, entry, _as_int(f"matrix entry {entry}", getattr(self, entry)))
+
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c

@@ -16,7 +16,7 @@ from operator import mul
 
 from .certified import CertifiedValue
 from .congruence import _compacted, _surface_data_cached, surface_data
-from .errors import (DomainError, ValidityError, _as_int, _as_level, _as_real,
+from .errors import (_TEXT, DomainError, ValidityError, _as_int, _as_level, _as_real,
                      _require_positive, _validate_pinch)
 from .hyperbolic import _collar, _distortion, _log_tanh, _sinh_half, length_from_trace
 
@@ -441,8 +441,10 @@ _RULES = {
 
 
 def _as_tuple(name: str, items) -> tuple:
-    """The items of a schedule argument, or DomainError naming it."""
+    """The items of a schedule argument, or DomainError naming it; text is refused."""
     try:
+        if isinstance(items, _TEXT):
+            raise TypeError
         return tuple(items)
     except TypeError:
         raise DomainError(f"{name} must be a sequence, got {items!r}") from None
@@ -477,7 +479,7 @@ class Schedule:
 
     @classmethod
     def from_rule(cls, name: str, levels, rule: str) -> "Schedule":
-        if rule not in _RULES:
+        if not isinstance(rule, str) or rule not in _RULES:
             raise DomainError(
                 f"unknown pinch rule {rule!r}; expected one of {sorted(_RULES)} or explicit lengths"
             )

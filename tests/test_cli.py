@@ -15,6 +15,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused(capsys, *argv):
+    """The stderr of a refused input: exit 2, nothing on stdout, and one
+    usage error line."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("usage error: "), (code, out, err)
+    assert err.count("\n") == 1, err
+    return err
+
+
 def parse_csv(text):
     lines = text.strip().split("\n")
     body = [ln for ln in lines if not ln.startswith("#")]
@@ -60,12 +69,9 @@ def test_survey_json(capsys):
 
 
 def test_survey_bounds_checked(capsys):
-    code, out, err = run(capsys, "survey", "--n-min", "5", "--n-max", "4")
-    assert code == 2 and out == "" and "n-min" in err
-    code, _, err = run(capsys, "survey", "--n-min", "2", "--n-max", "4")
-    assert code == 2
-    code, _, err = run(capsys, "survey", "--n-min", "3", "--n-max", "100000")
-    assert code == 2
+    assert "n-min" in refused(capsys, "survey", "--n-min", "5", "--n-max", "4")
+    refused(capsys, "survey", "--n-min", "2", "--n-max", "4")
+    refused(capsys, "survey", "--n-min", "3", "--n-max", "100000")
 
 
 # ---------------------------------------------------------------- systole
@@ -99,10 +105,11 @@ def test_systole_entry_bound_beyond_int64(capsys):
 
 
 def test_systole_rejects_small_bound(capsys):
-    code, _, err = run(capsys, "systole", "--level", "5", "--entry-bound", "24")
-    assert code == 2
-    code, _, err = run(capsys, "systole", "--level", "2", "--entry-bound", "100")
-    assert code == 2 and "level must be >= 3" in err
+    # the library's rules, in its words: a refused input, not a failed check
+    err = refused(capsys, "systole", "--level", "5", "--entry-bound", "24")
+    assert "entry_bound must be >= N^2 = 25" in err
+    err = refused(capsys, "systole", "--level", "2", "--entry-bound", "100")
+    assert "level must be >= 3" in err
 
 
 # ---------------------------------------------------------------- schedule
@@ -156,31 +163,32 @@ def test_schedule_explicit_pinch(capsys, tmp_path):
 def test_schedule_config_errors(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
-    code, _, err = run(capsys, "schedule", "--config", str(bad), "--radius", "1", "--j-max", "5")
-    assert code == 2 and "not valid JSON" in err
+    err = refused(capsys, "schedule", "--config", str(bad), "--radius", "1", "--j-max", "5")
+    assert "not valid JSON" in err
 
     cfg = write_config(tmp_path, {"name": "x", "pinch": {"rule": "reciprocal"}})
-    code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "5")
-    assert code == 2 and "levels" in err
+    err = refused(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "5")
+    assert "levels" in err
 
     cfg = write_config(tmp_path, {
         "name": "x",
         "levels": {"kind": "range", "start": 3, "stop": 10},
         "pinch": {"rule": "quartic"},
     })
-    code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "5")
-    assert code == 2 and "config rejected" in err
+    err = refused(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "5")
+    assert "config rejected" in err
 
-    code, _, err = run(capsys, "schedule", "--config", str(tmp_path / "missing.json"),
-                       "--radius", "1", "--j-max", "5")
-    assert code == 2 and "cannot read config" in err
+    err = refused(capsys, "schedule", "--config", str(tmp_path / "missing.json"),
+                  "--radius", "1", "--j-max", "5")
+    assert "cannot read config" in err
 
-    # each malformed field exits 2 and is named
+    # each malformed field exits 2 and is named: the CLI's own rules in its
+    # words, the values Schedule judges in the library's
     pinch = {"rule": "reciprocal"}
     for doc, field in [
-        ({"name": 7, "levels": RECIP["levels"], "pinch": pinch}, "'name'"),
+        ({"name": 7, "levels": RECIP["levels"], "pinch": pinch}, "schedule name"),
         ({"name": "x", "levels": {"kind": "explicit", "values": 5}, "pinch": pinch},
-         "'levels.values'"),
+         "levels must be a sequence"),
         ({"name": "x", "levels": {"kind": "range", "start": "3", "stop": 10}, "pinch": pinch},
          "'levels.start'"),
         ({"name": "x", "levels": {"kind": "range", "start": 3, "stop": 10, "step": 0},
@@ -188,31 +196,38 @@ def test_schedule_config_errors(capsys, tmp_path):
         ({"name": "x", "levels": {"kind": "list", "values": [5]}, "pinch": pinch},
          "'levels.kind'"),
         ({"name": "x", "levels": {"kind": "range", "start": 10, "stop": 5}, "pinch": pinch},
-         "empty levels"),
+         "at least one level"),
+        ({"name": "x", "levels": {"kind": "range", "start": 3, "stop": 10},
+          "pinch": {"rule": ["reciprocal"]}}, "unknown pinch rule"),
+        ({"name": "x", "levels": {"kind": "explicit", "values": [5, 7]},
+          "pinch": {"rule": "explicit", "values": "0.5,0.5"}}, "pinch_lengths"),
+        # a strong pseudoprime to every base the factoring tries: refused, not a failed check
+        ({"name": "x", "levels": {"kind": "explicit", "values": [3317044064679887385961981]},
+          "pinch": pinch}, "cannot factor level"),
     ]:
         cfg = write_config(tmp_path, doc)
-        code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "5")
-        assert code == 2 and field in err, (doc, err)
+        err = refused(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "5")
+        assert field in err, (doc, err)
 
 
 @pytest.mark.parametrize("bad", ["abc", None, [1], True], ids=["string", "null", "list", "bool"])
 def test_schedule_rejects_non_numeric_pinch_values(capsys, tmp_path, bad):
-    # a usage error (exit 2), not a traceback (exit 1); true is not the length 1.0
+    # a usage error (exit 2), not a traceback; true is not the length 1.0
     cfg = write_config(tmp_path, {
         "name": "handpicked",
         "levels": {"kind": "explicit", "values": [5, 7]},
         "pinch": {"rule": "explicit", "values": [bad, 0.1]},
     })
-    code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1.0", "--j-max", "5")
-    assert code == 2 and "pinch.values" in err
+    err = refused(capsys, "schedule", "--config", cfg, "--radius", "1.0", "--j-max", "5")
+    assert "config rejected: pinch length" in err
 
 
 def test_schedule_rejects_bad_radius(capsys, tmp_path):
     cfg = write_config(tmp_path, RECIP)
-    code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "-1", "--j-max", "5")
-    assert code == 2 and "radius" in err
-    code, _, err = run(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "0")
-    assert code == 2 and "j-max" in err
+    err = refused(capsys, "schedule", "--config", cfg, "--radius", "-1", "--j-max", "5")
+    assert "radius" in err
+    err = refused(capsys, "schedule", "--config", cfg, "--radius", "1", "--j-max", "0")
+    assert "j_max" in err
 
 
 # ---------------------------------------------------------------- trace-check
@@ -242,21 +257,18 @@ def test_trace_check_failure_exit(capsys):
 
 
 def test_trace_check_usage_errors(capsys):
-    code, _, err = run(capsys, "trace-check", "--supports", "1,two", "--tol", "1e-6")
-    assert code == 2
-    code, _, err = run(capsys, "trace-check", "--supports", "", "--tol", "1e-6")
-    assert code == 2
-    code, _, err = run(capsys, "trace-check", "--supports", "1", "--tol", "0")
-    assert code == 2
+    refused(capsys, "trace-check", "--supports", "1,two", "--tol", "1e-6")
+    refused(capsys, "trace-check", "--supports", "", "--tol", "1e-6")
+    refused(capsys, "trace-check", "--supports", "1", "--tol", "0")
 
 
 # ---------------------------------------------------------------- plumbing
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
     assert main(["not-a-command"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
 
 
 def test_output_file_atomic(capsys, tmp_path):
@@ -276,13 +288,14 @@ def test_output_file_atomic(capsys, tmp_path):
     assert not list(tmp_path.glob(".pinchlab-*"))
 
 
-def test_library_error_exits_1(capsys, monkeypatch):
+def test_library_error_exits_2(capsys, monkeypatch):
+    # a refusal from the library is a refused input, like the CLI's own
     def refuse(params):
         raise DomainError("refused")
 
     monkeypatch.setitem(cli._HANDLERS, "survey", (refuse, ".congruence"))
     code, out, err = run(capsys, "survey", "--n-min", "3", "--n-max", "4")
-    assert (code, out, err) == (1, "", "error: refused\n")
+    assert (code, out, err) == (2, "", "usage error: refused\n")
 
 
 def test_csv_deterministic(capsys, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from pinchlab import (
     CertifiedValue,
     DomainError,
+    IntegerMatrix2,
     Schedule,
     bump,
     classify_schedule,
@@ -122,11 +123,18 @@ def test_class_sums_past_the_float_range_name_the_multiplicities(call):
     (lambda: Schedule.from_rule("x", [3, None], "reciprocal"), "level"),
     (lambda: surface_data([7]), "level"),
     (lambda: is_in_gamma((1, 0, 0, 1), 3), "m"),
+    (lambda: Schedule.explicit("x", [3, 4], "0.5,0.5"), "pinch_lengths"),
+    (lambda: Schedule.explicit("x", "34", [0.5, 0.5]), "levels"),
+    (lambda: is_in_gamma(IntegerMatrix2("1", 0, 0, 1), 3), "matrix entry a"),
+    (lambda: IntegerMatrix2(None, 0, 0, 1).det, "matrix entry a"),
 ], ids=["schedule_pinch_real", "schedule_levels_int", "from_rule_levels_none",
-        "explicit_pinch_none", "from_rule_level_none", "surface_data_list", "is_in_gamma_tuple"])
+        "explicit_pinch_none", "from_rule_level_none", "surface_data_list", "is_in_gamma_tuple",
+        "explicit_pinch_text", "explicit_levels_text", "is_in_gamma_entry_text",
+        "matrix_entry_none"])
 def test_arguments_of_the_wrong_kind_raise_domain_error_naming_them(call, name):
     # a real where a sequence belongs, None or a list where an integer
-    # belongs, and a tuple where a matrix belongs
+    # belongs, a tuple where a matrix belongs, text where a sequence of
+    # numbers belongs, and text or None where a matrix entry belongs
     with pytest.raises(DomainError, match=f"^{name} must be"):
         call()
 
